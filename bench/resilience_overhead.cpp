@@ -15,8 +15,8 @@
 // every virtual metric (budgets charge no cycles) — the bench asserts that —
 // so the reported overhead is HOST time only.
 //
-// MaxCycles is deliberately NOT armed: a cycle cap folds into the engine's
-// EffMaxCycles accounting, which forces the threads engine onto the
+// MaxCycles is deliberately NOT armed: a cycle cap is the engine's
+// EffMaxCycles, which forces the threads engine onto the
 // simulated path (cycle counting requires the deterministic interleaving),
 // so arming it would change what the threads rows measure. Its cost is the
 // same per-iteration counter check the deadline poll already covers.

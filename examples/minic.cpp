@@ -32,7 +32,6 @@
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "ir/IRPrinter.h"
-#include "parallel/Pipeline.h"
 
 #include <cstdio>
 #include <fstream>
@@ -286,8 +285,9 @@ int main(int argc, char **argv) {
     DiagnosticEngine RunDiags;
     IO.GuardDiags = &RunDiags;
     IO.Resilience.Diags = &RunDiags;
-    // runResilient retries an engine fault (watchdog fire, pool loss mid-run)
-    // on the next rung down the ladder; resource breaches stay traps.
+    // runResilient retries a threads-engine fault (a watchdog fire with the
+    // in-loop ladder off) on the serial bytecode VM; resource breaches stay
+    // traps.
     RunResult R = runResilient(*P.M, IO, "main", &RunDiags);
     std::fputs(R.Output.c_str(), stdout);
     // Guard diagnostics (violations in check mode, fallback warnings).

@@ -10,10 +10,12 @@
 #include "analysis/StaticDeps.h"
 #include "interp/Bytecode.h"
 #include "interp/Guard.h"
+#include "ir/IRVisitor.h"
 #include "profile/DepProfiler.h"
 #include "support/Support.h"
 
 #include <mutex>
+#include <unordered_map>
 
 using namespace gdse;
 
@@ -120,9 +122,57 @@ const AccessNumbering &AnalysisManager::numbering() {
   // Numbering WRITES access ids into the IR; the exclusive ModuleMu hold
   // means at most one thread runs it, and the batch driver guarantees no
   // other thread reads this module's IR before its first numbering (every
-  // query path enters through here).
+  // query path enters through here). Guard plans name accesses by the ids
+  // the IR carries now, so they are re-keyed to the new numbering.
+  std::unique_lock<std::shared_mutex> PlanLock(GuardMu);
+  std::unordered_map<const void *, AccessId> OldIds;
+  if (!GuardPlansById.empty())
+    for (Function *F : M.getFunctions()) {
+      if (!F->getBody())
+        continue;
+      walkStmts(F->getBody(), [&](Stmt *S) {
+        if (auto *A = dyn_cast<AssignStmt>(S))
+          OldIds[A] = A->getAccessId();
+      });
+      walkExprs(F, [&](Expr *E) {
+        if (auto *L = dyn_cast<LoadExpr>(E))
+          OldIds[L] = L->getAccessId();
+      });
+    }
   Num = AccessNumbering::compute(M);
+  if (!OldIds.empty())
+    rekeyGuardPlans(OldIds);
   return *Num;
+}
+
+void AnalysisManager::rekeyGuardPlans(
+    const std::unordered_map<const void *, AccessId> &OldIds) {
+  // Every node that carried an old id, under its new id. A redirected
+  // access and the span store or metadata read expansion added beside it
+  // shared one id; they now have one each, and the plan claims them all.
+  std::map<AccessId, std::vector<AccessId>> NewIds;
+  for (const AccessDesc &D : Num->accesses()) {
+    const void *Node = D.IsStore ? static_cast<const void *>(D.StoreNode)
+                                 : static_cast<const void *>(D.LoadNode);
+    auto It = OldIds.find(Node);
+    if (It != OldIds.end())
+      NewIds[It->second].push_back(D.Id);
+  }
+  auto Rekey = [&](std::map<uint32_t, unsigned> &ClassOf) {
+    std::map<uint32_t, unsigned> Out;
+    for (const auto &[Old, Class] : ClassOf) {
+      auto It = NewIds.find(Old);
+      if (It != NewIds.end())
+        for (AccessId New : It->second)
+          Out[New] = Class;
+    }
+    ClassOf = std::move(Out);
+  };
+  for (auto &[LoopId, GP] : GuardPlansById) {
+    (void)LoopId;
+    Rekey(GP->PrivateClassOf);
+    Rekey(GP->CommClassOf);
+  }
 }
 
 const PointsTo &AnalysisManager::pointsTo() {
@@ -336,7 +386,7 @@ const AccessClasses *AnalysisManager::accessClasses(unsigned LoopId,
 }
 
 void AnalysisManager::setGuardPlan(unsigned LoopId,
-                                   std::shared_ptr<const GuardPlan> GP) {
+                                   std::shared_ptr<GuardPlan> GP) {
   std::unique_lock<std::shared_mutex> Lock(GuardMu);
   if (GP)
     GuardPlansById[LoopId] = std::move(GP);

@@ -60,6 +60,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace gdse {
@@ -160,8 +161,12 @@ public:
   /// without re-running the transform. Unlike analyses, plans describe the
   /// REWRITTEN IR, so they deliberately survive invalidateLoop /
   /// invalidateModule (those drop results derived from superseded IR; the
-  /// plan belongs to the IR that superseded it). Null clears the entry.
-  void setGuardPlan(unsigned LoopId, std::shared_ptr<const GuardPlan> GP);
+  /// plan belongs to the IR that superseded it). A plan names accesses by
+  /// id, so every later numbering() re-keys it in place to the ids it
+  /// writes into the IR: every holder of the plan, PipelineResult::Guard
+  /// included, stays valid for any lowering of the current IR. Null clears
+  /// the entry.
+  void setGuardPlan(unsigned LoopId, std::shared_ptr<GuardPlan> GP);
 
   /// The registered guard plan of \p LoopId; null when the loop was never
   /// expanded (or expansion privatized nothing).
@@ -220,6 +225,11 @@ private:
   /// and cached in \p Shard. Same locking contract as staticGraphLocked.
   const PrivatizationWitness &witnessLocked(LoopShard &Shard, unsigned LoopId,
                                             const AccessNumbering &Numbering);
+  /// Re-keys every guard plan from \p OldIds, each access node's id before
+  /// the renumbering, to the fresh numbering in Num. Caller holds ModuleMu
+  /// and GuardMu exclusively.
+  void rekeyGuardPlans(
+      const std::unordered_map<const void *, AccessId> &OldIds);
 
   Module &M;
   DiagnosticEngine &DE;
@@ -243,7 +253,7 @@ private:
   /// during the serial transform phase but read by concurrent bench/exec
   /// setup, and they must not be swept by analysis invalidation.
   mutable std::shared_mutex GuardMu;
-  std::map<unsigned, std::shared_ptr<const GuardPlan>> GuardPlansById;
+  std::map<unsigned, std::shared_ptr<GuardPlan>> GuardPlansById;
 
   struct {
     std::atomic<uint64_t> CacheHits{0};

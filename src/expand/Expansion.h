@@ -115,8 +115,9 @@ struct ExpansionResult {
   /// privatized access class claimed private — every expanded allocation
   /// site (original heap sites multiplied by N plus the backing mallocs of
   /// converted locals/globals) and the class of every private access. Set
-  /// only on success; consumed by InterpOptions::GuardPlans.
-  std::shared_ptr<const GuardPlan> Guard;
+  /// only on success; consumed by InterpOptions::GuardPlans. Mutable so a
+  /// session can re-key it when it renumbers the module (AnalysisManager).
+  std::shared_ptr<GuardPlan> Guard;
 };
 
 /// Precomputed analysis results (and the structured diagnostic sink) an

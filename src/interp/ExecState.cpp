@@ -790,27 +790,35 @@ Flow ThreadState::runForLoop(unsigned LoopId, ParallelKind Kind, Type *IVType,
                              const std::function<void(ForBounds &)> &EvalBounds,
                              const std::function<Flow()> &Body,
                              const ThreadLoopHooks *Host) {
-  bool Parallel =
-      Opts.SimulateParallel && Kind != ParallelKind::None && !InParallelLoop;
-  if (Parallel && threadedEligible(LoopId, Kind, Host)) {
+  if (!Opts.SimulateParallel || Kind == ParallelKind::None || InParallelLoop)
+    return runForSerial(LoopId, Kind, IVType, EvalBounds, Body);
+  // The loop's guard plan, looked up once for whichever runner takes the
+  // invocation. Thread ids are stored in an int8 shadow, so guarding is
+  // skipped outright for N > 127 (no such configuration exists in practice).
+  const GuardPlan *GP = nullptr;
+  if (Opts.Guard != GuardMode::Off && Opts.NumThreads <= 127) {
+    auto It = P.GuardPlanOf.find(LoopId);
+    if (It != P.GuardPlanOf.end())
+      GP = It->second;
+  }
+  if (threadedEligible(LoopId, Kind, Host, GP)) {
     // First rung of the degradation ladder: a dead worker pool (thread
     // creation failed, or an injected worker-start fault) sends the
     // invocation down to the simulated serial-order path — bit-identical by
     // construction — instead of crashing or trapping.
     if (ThreadPool *Pool = P.loopPoolOrNull())
-      return runForThreaded(LoopId, Kind, IVType, EvalBounds, Body, *Host,
+      return runForThreaded(LoopId, Kind, IVType, EvalBounds, Body, GP, *Host,
                             *Pool);
     noteDegradation(LoopId, /*Watchdog=*/false,
                     "degrading to the simulated serial-order path: worker "
                     "pool unavailable");
   }
-  if (Parallel)
-    return runForParallel(LoopId, Kind, IVType, EvalBounds, Body);
-  return runForSerial(LoopId, Kind, IVType, EvalBounds, Body);
+  return runForParallel(LoopId, Kind, IVType, EvalBounds, Body, GP);
 }
 
 bool ThreadState::threadedEligible(unsigned LoopId, ParallelKind Kind,
-                                   const ThreadLoopHooks *Host) const {
+                                   const ThreadLoopHooks *Host,
+                                   const GuardPlan *GP) const {
   // The engine must have offered host execution at all (only the bytecode
   // engine does, and only under ExecEngine::Threads), and the induction
   // variable must live in the frame the runner is about to privatize.
@@ -819,9 +827,8 @@ bool ThreadState::threadedEligible(unsigned LoopId, ParallelKind Kind,
   if (Opts.Engine != ExecEngine::Threads || Opts.NumThreads < 2)
     return false;
   // An installed observer expects the serial-order event stream; a cycle
-  // budget (legacy MaxCycles or the resilience budget's cap, folded into
-  // EffMaxCycles) needs a monotonic global cycle counter; an armed guard
-  // watch must see every access in serial order. All three force the
+  // budget (EffMaxCycles) needs a monotonic global cycle counter; an armed
+  // guard watch must see every access in serial order. All three force the
   // simulated path. Wall-clock deadlines and byte budgets are order-free
   // and stay threaded-compatible.
   if (Obs || P.EffMaxCycles != 0 || !GuardWatch.empty())
@@ -830,13 +837,6 @@ bool ThreadState::threadedEligible(unsigned LoopId, ParallelKind Kind,
   // Runtime privatization keeps a serial-order shadow map: simulate.
   if (!T || T->UsesRtPriv)
     return false;
-  const unsigned N = static_cast<unsigned>(std::max(1, Opts.NumThreads));
-  const GuardPlan *GP = nullptr;
-  if (Opts.Guard != GuardMode::Off && N <= 127) {
-    auto It = P.GuardPlanOf.find(LoopId);
-    if (It != P.GuardPlanOf.end())
-      GP = It->second;
-  }
   // Fallback speculation checkpoints and re-runs serially; the threaded
   // runner only supports check-mode guarding (per-worker shadow merge).
   if (GP && Opts.Guard == GuardMode::Fallback)
@@ -849,6 +849,83 @@ bool ThreadState::threadedEligible(unsigned LoopId, ParallelKind Kind,
   return true;
 }
 
+bool ThreadState::evalBounds(
+    const std::function<void(ForBounds &)> &EvalBounds, ForBounds &B,
+    const char *StepTrap) {
+  EvalBounds(B);
+  if (dead())
+    return false;
+  if (B.Step <= 0) {
+    trap(StepTrap);
+    return false;
+  }
+  return true;
+}
+
+bool ThreadState::beginInvocation(
+    Invocation &Inv, const std::function<void(ForBounds &)> &EvalBounds) {
+  LoopStats &LS = Loops[Inv.LoopId];
+  LS.Kind = Inv.Kind;
+  ++LS.Invocations;
+  if (LS.WorkPerThread.size() != Inv.N) {
+    LS.WorkPerThread.assign(Inv.N, 0);
+    LS.SyncStallPerThread.assign(Inv.N, 0);
+    LS.IdlePerThread.assign(Inv.N, 0);
+    LS.DispatchPerThread.assign(Inv.N, 0);
+  }
+  Inv.Before = Cycles;
+  if (!evalBounds(EvalBounds, Inv.B,
+                  "parallel for loop with non-positive step"))
+    return false;
+  const ForBounds &B = Inv.B;
+  Inv.Total = B.Hi > B.Lo ? static_cast<uint64_t>((B.Hi - B.Lo + B.Step - 1) /
+                                                  B.Step)
+                          : 0;
+  return true;
+}
+
+bool ThreadState::beginGuard(Invocation &Inv) {
+  if (!Inv.GP)
+    return false;
+  guardSetupRegions(Inv.GP, Inv.N);
+  if (GuardRegions.empty()) {
+    // None of the plan's expanded structures are live (e.g. the loop runs
+    // before its allocations): nothing to validate against this time.
+    Inv.GP = nullptr;
+    return false;
+  }
+  ++Loops[Inv.LoopId].GuardedInvocations;
+  return true;
+}
+
+void ThreadState::endInvocation(const Invocation &Inv,
+                                const ParallelTimeline &TL) {
+  if (Inv.GP) {
+    // The commit scan over the (merged) shadow arms the post-loop watch that
+    // catches output-dependence misclassifications the in-loop checks cannot
+    // see; then the shadow goes away.
+    GuardActive = false;
+    guardCommit(Inv.GP, Inv.N);
+    guardTeardownRegions();
+    updateGuardHooks();
+  }
+  rtPrivCommitAll();
+  if (Obs)
+    Obs->onLoopExit(Inv.LoopId);
+
+  LoopStats &LS = Loops[Inv.LoopId];
+  uint64_t WorkDelta = Cycles - Inv.Before;
+  uint64_t SimTime = TL.maxReady() + Opts.Costs.ForkJoin;
+  LS.Iterations += Inv.Total;
+  LS.WorkCycles += WorkDelta;
+  LS.SimTime += SimTime;
+  TL.accumulate(LS);
+  // Program simulated time: replace this loop's work span by its simulated
+  // duration.
+  TimeAdjust +=
+      static_cast<int64_t>(SimTime) - static_cast<int64_t>(WorkDelta);
+}
+
 Flow ThreadState::runForSerial(unsigned LoopId, ParallelKind Kind,
                                Type *IVType,
                                const std::function<void(ForBounds &)> &EvalBounds,
@@ -859,13 +936,8 @@ Flow ThreadState::runForSerial(unsigned LoopId, ParallelKind Kind,
   uint64_t Before = Cycles;
 
   ForBounds B;
-  EvalBounds(B);
-  if (dead())
+  if (!evalBounds(EvalBounds, B, "for loop with non-positive step"))
     return Flow::Halt;
-  if (B.Step <= 0) {
-    trap("for loop with non-positive step");
-    return Flow::Halt;
-  }
   uint64_t IVSize = Ctx.getLayout(IVType).Size;
   if (Obs)
     Obs->onLoopEnter(LoopId);
@@ -911,76 +983,18 @@ Flow ThreadState::runForSerial(unsigned LoopId, ParallelKind Kind,
 Flow ThreadState::runForParallel(
     unsigned LoopId, ParallelKind Kind, Type *IVType,
     const std::function<void(ForBounds &)> &EvalBounds,
-    const std::function<Flow()> &Body) {
-  const unsigned N = static_cast<unsigned>(std::max(1, Opts.NumThreads));
-
-  // Guarded execution: look up this loop's plan. Thread ids are stored in an
-  // int8 shadow, so guarding is skipped outright for N > 127 (no such
-  // configuration exists in practice).
-  const GuardPlan *GP = nullptr;
-  if (Opts.Guard != GuardMode::Off && N <= 127) {
-    auto GIt = P.GuardPlanOf.find(LoopId);
-    if (GIt != P.GuardPlanOf.end())
-      GP = GIt->second;
-  }
-  // Fallback mode re-executes a tripped invocation serially, so everything
-  // the invocation can touch is checkpointed up front: VM memory (metadata
-  // and contents) plus the scalar run state below. The checkpoint is taken
-  // before any of this invocation's bookkeeping so the serial re-run starts
-  // from a truly pre-invocation world.
-  bool Speculate = GP && Opts.Guard == GuardMode::Fallback;
-  uint64_t SavedCycles = 0;
-  int64_t SavedTimeAdjust = 0;
-  std::string SavedOutput;
-  std::map<unsigned, LoopStats> SavedLoops;
-  std::map<std::pair<int, uint64_t>, uint64_t> SavedRtShadow;
-  std::map<uint64_t, GuardWatchByte> SavedWatch;
-  uint64_t SavedRtPrivTranslations = 0, SavedRtPrivBytesCopied = 0;
-  int64_t SavedExitCode = 0;
-  VMValue SavedReturnValue;
-  bool SavedHalted = false;
-  if (Speculate) {
-    Mem.beginSpeculation();
-    SavedCycles = Cycles;
-    SavedTimeAdjust = TimeAdjust;
-    SavedOutput = Output;
-    SavedLoops = Loops;
-    SavedRtShadow = RtShadow;
-    SavedWatch = GuardWatch;
-    SavedRtPrivTranslations = RtPrivTranslations;
-    SavedRtPrivBytesCopied = RtPrivBytesCopied;
-    SavedExitCode = ExitCode;
-    SavedReturnValue = ReturnValue;
-    SavedHalted = Halted;
-  }
-
-  LoopStats &LS = Loops[LoopId];
-  LS.Kind = Kind;
-  ++LS.Invocations;
-  if (LS.WorkPerThread.size() != N) {
-    LS.WorkPerThread.assign(N, 0);
-    LS.SyncStallPerThread.assign(N, 0);
-    LS.IdlePerThread.assign(N, 0);
-    LS.DispatchPerThread.assign(N, 0);
-  }
-
-  uint64_t Before = Cycles;
-  ForBounds B;
-  EvalBounds(B);
-  if (dead()) {
-    if (Speculate)
-      Mem.commitSpeculation();
+    const std::function<Flow()> &Body, const GuardPlan *GP) {
+  Invocation Inv(LoopId, Kind, Opts.NumThreads, GP);
+  const unsigned N = Inv.N;
+  // Fallback mode re-executes a tripped invocation serially, so the
+  // checkpoint is taken before any of this invocation's bookkeeping: the
+  // serial re-run starts from a truly pre-invocation world.
+  Speculation Spec(*this);
+  if (GP && Opts.Guard == GuardMode::Fallback)
+    Spec.arm();
+  if (!beginInvocation(Inv, EvalBounds))
     return Flow::Halt;
-  }
-  if (B.Step <= 0) {
-    trap("parallel for loop with non-positive step");
-    if (Speculate)
-      Mem.commitSpeculation();
-    return Flow::Halt;
-  }
-  uint64_t Total =
-      B.Hi > B.Lo ? static_cast<uint64_t>((B.Hi - B.Lo + B.Step - 1) / B.Step)
-                  : 0;
+  const ForBounds &B = Inv.B;
   uint64_t IVSize = Ctx.getLayout(IVType).Size;
 
   if (Obs)
@@ -989,32 +1003,23 @@ Flow ThreadState::runForParallel(
   InParallelLoop = true;
   RecordOrdered = Kind == ParallelKind::DOACROSS;
 
-  if (GP) {
-    guardSetupRegions(GP, N);
-    if (GuardRegions.empty()) {
-      // None of the plan's expanded structures are live (e.g. the loop runs
-      // before its allocations): nothing to validate against this time.
-      GP = nullptr;
-      if (Speculate) {
-        Mem.commitSpeculation();
-        Speculate = false;
-      }
-    } else {
-      GuardActive = true;
-      GuardTripped = false;
-      GuardLoop = LoopId;
-      updateGuardHooks();
-      ++LS.GuardedInvocations;
-    }
+  if (beginGuard(Inv)) {
+    GuardActive = true;
+    GuardTripped = false;
+    GuardLoop = LoopId;
+    updateGuardHooks();
+  } else {
+    // Nothing is guarded, so nothing can trip: keep the world as it runs.
+    Spec.commit();
   }
 
   bool DOALL = Kind == ParallelKind::DOALL;
   ParallelTimeline TL(Opts.Costs, N, DOALL);
-  uint64_t Chunk = DOALL ? std::max<uint64_t>(1, (Total + N - 1) / N) : 1;
+  uint64_t Chunk = DOALL ? std::max<uint64_t>(1, (Inv.Total + N - 1) / N) : 1;
 
   Flow Result = Flow::Normal;
   bool DoFallback = false;
-  for (uint64_t It = 0; It != Total; ++It) {
+  for (uint64_t It = 0; It != Inv.Total; ++It) {
     LoopCtxStack.back().Iter = It;
     GuardIter = It;
     if (!checkBudget()) {
@@ -1054,7 +1059,7 @@ Flow ThreadState::runForParallel(
     // boundary, before any trap from this iteration is inspected: the serial
     // re-execution decides what really happens (including re-raising a trap
     // the mis-speculated state may have caused spuriously).
-    if (Speculate && GuardTripped) {
+    if (Spec.armed() && GuardTripped) {
       DoFallback = true;
       break;
     }
@@ -1083,67 +1088,23 @@ Flow ThreadState::runForParallel(
     // abandoned attempt are re-applied on top of the restored stats so the
     // attempt stays visible in the accounting.
     LoopStats Snap = Loops[LoopId];
-    Mem.rollbackSpeculation();
-    Cycles = SavedCycles;
-    TimeAdjust = SavedTimeAdjust;
-    Output = std::move(SavedOutput);
-    Loops = std::move(SavedLoops);
-    RtShadow = std::move(SavedRtShadow);
-    GuardWatch = std::move(SavedWatch);
-    RtPrivTranslations = SavedRtPrivTranslations;
-    RtPrivBytesCopied = SavedRtPrivBytesCopied;
-    ExitCode = SavedExitCode;
-    ReturnValue = SavedReturnValue;
-    Halted = SavedHalted;
-    Trapped = false;
-    TrapMessage.clear();
-    TrapLoopId = -1;
-    TrapIteration = -1;
-    TrapThread = -1;
+    Spec.rollback();
     GuardActive = false;
     GuardTripped = false;
     guardTeardownRegions();
     updateGuardHooks();
-    LoopStats &L2 = Loops[LoopId];
-    L2.Kind = Kind;
-    L2.GuardedInvocations = Snap.GuardedInvocations;
-    L2.GuardChecks = Snap.GuardChecks;
-    L2.GuardViolations = Snap.GuardViolations;
-    ++L2.GuardFallbacks;
+    LoopStats &LS = Loops[LoopId];
+    LS.Kind = Kind;
+    LS.GuardedInvocations = Snap.GuardedInvocations;
+    LS.GuardChecks = Snap.GuardChecks;
+    LS.GuardViolations = Snap.GuardViolations;
+    ++LS.GuardFallbacks;
     if (Obs)
       Obs->onLoopExit(LoopId);
     return runForSerial(LoopId, Kind, IVType, EvalBounds, Body);
   }
 
-  if (GuardActive) {
-    // Clean (or check-mode) guarded invocation: commit. The divergence scan
-    // arms the post-loop watch that catches output-dependence
-    // misclassifications the in-loop checks cannot see.
-    GuardActive = false;
-    guardCommit(GP, N);
-    guardTeardownRegions();
-    updateGuardHooks();
-  }
-  if (Speculate)
-    Mem.commitSpeculation();
-
-  rtPrivCommitAll();
-  if (Obs)
-    Obs->onLoopExit(LoopId);
-
-  uint64_t WorkDelta = Cycles - Before;
-  uint64_t SimTime = TL.maxReady() + Opts.Costs.ForkJoin;
-
-  LS.Iterations += Total;
-  LS.WorkCycles += WorkDelta;
-  LS.SimTime += SimTime;
-  TL.accumulate(LS);
-
-  // Program simulated time: replace this loop's work span by its simulated
-  // duration.
-  TimeAdjust +=
-      static_cast<int64_t>(SimTime) - static_cast<int64_t>(WorkDelta);
-
+  endInvocation(Inv, TL);
   return Result;
 }
 

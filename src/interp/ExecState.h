@@ -36,10 +36,15 @@
 #include "interp/ProgramContext.h"
 #include "ir/IR.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace gdse {
@@ -113,6 +118,7 @@ inline unsigned scalarSize(ScalarKind K) {
 
 struct ThreadState;
 struct DoacrossSync;
+struct ParallelTimeline;
 
 /// How an engine hands the host-threaded loop runner the means to execute
 /// body iterations on worker ThreadStates. Supplied by the bytecode engine's
@@ -300,7 +306,7 @@ struct ThreadState {
 
   void charge(uint64_t C) { Cycles += C; }
 
-  /// The per-iteration budget gate: the folded cycle cap (exact, checked
+  /// The per-iteration budget gate: the cycle cap (exact, checked
   /// every call) and the wall-clock deadline (polled every 64th call — the
   /// clock read is the expensive part, and a deadline is approximate by
   /// nature). Traps and returns false on breach. DeadlineArmed is a
@@ -468,12 +474,46 @@ struct ThreadState {
   void resetRun();
 
 private:
+  /// One parallel loop invocation as both parallel runners see it.
+  struct Invocation {
+    Invocation(unsigned LoopId, ParallelKind Kind, int NumThreads,
+               const GuardPlan *GP)
+        : LoopId(LoopId), Kind(Kind),
+          N(static_cast<unsigned>(std::max(1, NumThreads))), GP(GP) {}
+    unsigned LoopId;
+    ParallelKind Kind;
+    unsigned N; ///< virtual thread count
+    /// The loop's guard plan; cleared by beginGuard when none of the plan's
+    /// structures is live.
+    const GuardPlan *GP;
+    ForBounds B;
+    uint64_t Total = 0;  ///< trip count
+    uint64_t Before = 0; ///< Cycles before the bounds were evaluated
+  };
+
+  /// Evaluates a counted loop's bounds. False when evaluation trapped or
+  /// halted, or — after trapping with \p StepTrap — when the step is not
+  /// positive.
+  bool evalBounds(const std::function<void(ForBounds &)> &EvalBounds,
+                  ForBounds &B, const char *StepTrap);
+  /// The parallel prologue: counts the invocation, sizes the per-thread
+  /// stats to N, and evaluates the bounds into Inv. False when the loop
+  /// must not run.
+  bool beginInvocation(Invocation &Inv,
+                       const std::function<void(ForBounds &)> &EvalBounds);
+  /// Sets up the guard shadow for Inv.GP and counts a guarded invocation.
+  /// False, with Inv.GP cleared, when there is nothing to guard.
+  bool beginGuard(Invocation &Inv);
+  /// The parallel epilogue: guard commit and teardown, the rtpriv commit,
+  /// then \p TL's simulated duration folded into the stats and TimeAdjust.
+  void endInvocation(const Invocation &Inv, const ParallelTimeline &TL);
+
   Flow runForSerial(unsigned LoopId, ParallelKind Kind, Type *IVType,
                     const std::function<void(ForBounds &)> &EvalBounds,
                     const std::function<Flow()> &Body);
   Flow runForParallel(unsigned LoopId, ParallelKind Kind, Type *IVType,
                       const std::function<void(ForBounds &)> &EvalBounds,
-                      const std::function<Flow()> &Body);
+                      const std::function<Flow()> &Body, const GuardPlan *GP);
   /// The real host-threaded runner (ThreadedLoop.cpp). Bit-identical virtual
   /// metrics to runForParallel on every eligible loop. \p Body is the serial
   /// body thunk, kept for the watchdog recovery path (a wedged DOACROSS
@@ -482,14 +522,16 @@ private:
   /// degrades before ever reaching here).
   Flow runForThreaded(unsigned LoopId, ParallelKind Kind, Type *IVType,
                       const std::function<void(ForBounds &)> &EvalBounds,
-                      const std::function<Flow()> &Body,
+                      const std::function<Flow()> &Body, const GuardPlan *GP,
                       const ThreadLoopHooks &Host, ThreadPool &Pool);
-  /// True when this invocation can run on real host threads.
+  /// True when this invocation, guarded by \p GP (or unguarded when null),
+  /// can run on real host threads.
   bool threadedEligible(unsigned LoopId, ParallelKind Kind,
-                        const ThreadLoopHooks *Host) const;
+                        const ThreadLoopHooks *Host,
+                        const GuardPlan *GP) const;
 
   // Guarded-execution internals (ExecState.cpp). ThreadedLoop.cpp reuses
-  // guardSetupRegions/guardCommit and the merge helpers below.
+  // updateGuardHooks and GuardRegionHit for its shadow merge.
   GuardRegion *guardRegionContaining(uint64_t Addr);
   void guardSetupRegions(const GuardPlan *GP, unsigned NumThreads);
   void guardTeardownRegions();
@@ -503,6 +545,59 @@ private:
   }
   /// Index into GuardRegions answered last (clustered accesses), or -1.
   int GuardRegionHit = -1;
+};
+
+namespace detail {
+/// The ThreadState fields a Speculation rolls back, listed once so that
+/// saving and restoring them cannot drift apart.
+inline auto rollbackSet(ThreadState &T) {
+  return std::tie(T.Cycles, T.TimeAdjust, T.Output, T.Loops, T.RtShadow,
+                  T.GuardWatch, T.RtPrivTranslations, T.RtPrivBytesCopied,
+                  T.ExitCode, T.ReturnValue, T.Halted, T.Trapped,
+                  T.TrapMessage, T.TrapLoopId, T.TrapIteration, T.TrapThread);
+}
+template <class... Ts>
+std::tuple<std::decay_t<Ts>...> valuesOf(const std::tuple<Ts &...> &);
+} // namespace detail
+
+/// The one checkpoint/rollback scope of the loop runners: guard fallback
+/// (a tripped invocation re-runs serially) and DOACROSS watchdog recovery
+/// (a wedged threaded attempt re-runs simulated). arm() checkpoints VM
+/// memory and the ThreadState's rollback set; rollback() restores both
+/// exactly; destruction commits, so every early return keeps the attempt.
+/// An unarmed scope allocates and copies nothing.
+class Speculation {
+public:
+  explicit Speculation(ThreadState &TS) : TS(TS) {}
+  Speculation(const Speculation &) = delete;
+  Speculation &operator=(const Speculation &) = delete;
+  ~Speculation() { commit(); }
+
+  /// Takes the checkpoint; VM memory must not already be speculating.
+  void arm() {
+    TS.Mem.beginSpeculation();
+    Saved = std::make_unique<Snapshot>(detail::rollbackSet(TS));
+  }
+  bool armed() const { return Saved != nullptr; }
+  /// Keeps every change since arm() and disarms (no-op when unarmed).
+  void commit() {
+    if (!Saved)
+      return;
+    TS.Mem.commitSpeculation();
+    Saved.reset();
+  }
+  /// Restores the world as arm() found it and disarms. Must be armed.
+  void rollback() {
+    TS.Mem.rollbackSpeculation();
+    detail::rollbackSet(TS) = std::move(*Saved);
+    Saved.reset();
+  }
+
+private:
+  using Snapshot = decltype(detail::valuesOf(
+      detail::rollbackSet(std::declval<ThreadState &>())));
+  ThreadState &TS;
+  std::unique_ptr<Snapshot> Saved;
 };
 
 /// Historical name: ExecState was split into ProgramContext + ThreadState;

@@ -743,70 +743,44 @@ RunResult Interp::run(const std::string &Entry) { return P->run(Entry); }
 // Degradation ladder
 //===----------------------------------------------------------------------===//
 
-static const char *engineName(ExecEngine E) {
-  switch (E) {
-  case ExecEngine::TreeWalk:
-    return "tree-walk";
-  case ExecEngine::Bytecode:
-    return "bytecode";
-  case ExecEngine::Threads:
-    return "threads";
-  }
-  return "?";
-}
-
 RunResult gdse::runResilient(Module &M, InterpOptions Opts,
                              const std::string &Entry,
                              DiagnosticEngine *Diags) {
   if (!Diags)
     Diags = Opts.Resilience.Diags;
-  // Count the hops across every rung so the caller sees the full ladder even
-  // when the first retry also faults.
-  uint64_t Degradations = 0;
-  uint64_t WatchdogFires = 0;
-  RunResult R;
-  for (;;) {
-    {
-      Interp I(M, Opts);
-      R = I.run(Entry);
-    }
-    for (const auto &[Id, LS] : R.Loops) {
-      (void)Id;
-      Degradations += LS.Degradations;
-      WatchdogFires += LS.WatchdogFires;
-    }
-    if (!R.EngineFault || Opts.Engine == ExecEngine::TreeWalk)
-      break;
-    // Hop one rung down. The fault injector (if any) is shared across hops,
-    // so one-shot rules that already fired do not re-fire on the retry.
-    ExecEngine Next = Opts.Engine == ExecEngine::Threads ? ExecEngine::Bytecode
-                                                         : ExecEngine::TreeWalk;
-    if (Diags) {
-      Diagnostic D;
-      D.Severity = DiagSeverity::Warning;
-      D.Pass = "resilience";
-      D.Message = formatString(
-          "%s engine faulted%s%s; retrying the invocation on the %s engine",
-          engineName(Opts.Engine), R.Trapped ? ": " : "",
-          R.Trapped ? R.TrapMessage.c_str() : "", engineName(Next));
-      Diags->report(D);
-    }
-    Opts.Engine = Next;
-    ++Degradations;
+  RunResult R = Interp(M, Opts).run(Entry);
+  // Only the threads engine raises engine faults (a DOACROSS watchdog wedge
+  // with the in-loop ladder unavailable), so the one hop is to the serial
+  // bytecode VM, which cannot wedge. The fault injector (if any) is shared
+  // across the hop, so one-shot rules that already fired do not re-fire.
+  if (!R.EngineFault)
+    return R;
+  if (Diags) {
+    Diagnostic D;
+    D.Severity = DiagSeverity::Warning;
+    D.Pass = "resilience";
+    D.Message = formatString(
+        "threads engine faulted%s%s; retrying the invocation on the bytecode "
+        "engine",
+        R.Trapped ? ": " : "", R.Trapped ? R.TrapMessage.c_str() : "");
+    Diags->report(D);
   }
-  // Surface the cumulative hop counters on the final result: a clean retry
-  // rebuilds Loops from scratch, which would otherwise hide the fact that a
-  // degradation happened at all.
-  if ((Degradations || WatchdogFires) && !R.Loops.empty()) {
-    uint64_t D = 0, W = 0;
-    for (const auto &[Id, LS] : R.Loops) {
-      (void)Id;
-      D += LS.Degradations;
-      W += LS.WatchdogFires;
-    }
-    auto First = R.Loops.begin();
-    First->second.Degradations += Degradations - D;
-    First->second.WatchdogFires += WatchdogFires - W;
+  // Count the faulted attempt's hops plus the retry itself, and surface
+  // them on the final result: the retry rebuilds Loops from scratch, which
+  // would otherwise hide the fact that a degradation happened at all.
+  uint64_t Degradations = 1;
+  uint64_t WatchdogFires = 0;
+  for (const auto &[Id, LS] : R.Loops) {
+    (void)Id;
+    Degradations += LS.Degradations;
+    WatchdogFires += LS.WatchdogFires;
+  }
+  Opts.Engine = ExecEngine::Bytecode;
+  R = Interp(M, Opts).run(Entry);
+  if (!R.Loops.empty()) {
+    LoopStats &First = R.Loops.begin()->second;
+    First.Degradations += Degradations;
+    First.WatchdogFires += WatchdogFires;
   }
   return R;
 }

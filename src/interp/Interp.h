@@ -113,8 +113,6 @@ struct InterpOptions {
   bool SimulateParallel = true;
   /// Verify every access lies in a live allocation.
   bool BoundsCheck = true;
-  /// Abort the run after this many work cycles (0 = unlimited).
-  uint64_t MaxCycles = 0;
   CostModel Costs;
   /// Execution engine (see ExecEngine).
   ExecEngine Engine = ExecEngine::TreeWalk;
@@ -199,10 +197,10 @@ struct RunResult {
   /// occurrence's attribution, with Count totalling repeats. Empty in Off
   /// mode and on clean guarded runs.
   std::vector<DependenceViolation> Violations;
-  /// The trap is an engine-level fault (worker pool unavailable or watchdog
-  /// wedge with the in-loop ladder disabled) rather than a program error or
-  /// resource breach: runResilient() retries such a run on the next engine
-  /// down. Never set on clean runs or on budget/OOM/program traps.
+  /// The trap is an engine-level fault (a threads-engine watchdog wedge with
+  /// the in-loop ladder unavailable) rather than a program error or
+  /// resource breach: runResilient() retries such a run on the serial
+  /// bytecode VM. Never set on clean runs or on budget/OOM/program traps.
   bool EngineFault = false;
 
   bool ok() const { return !Trapped; }
@@ -226,13 +224,14 @@ private:
   Impl *P;
 };
 
-/// Runs \p Entry under Opts, walking the degradation ladder on engine-level
-/// faults: a Threads run that ends with RunResult::EngineFault is retried on
-/// the serial Bytecode VM, and that on the TreeWalk engine as last resort.
-/// Each hop is reported as a warning through \p Diags (pass "resilience")
-/// when non-null. Budget breaches, OOM, and program traps are never retried
-/// (re-running would fail again); a shared FaultInjector keeps its counters
-/// across hops, so one-shot faults do not re-fire on the retry.
+/// Runs \p Entry under Opts, taking the degradation ladder's last rung on
+/// an engine-level fault: a Threads run that ends with RunResult::EngineFault
+/// (the only engine that raises one) is retried once on the serial Bytecode
+/// VM. The hop is reported as a warning through \p Diags (pass
+/// "resilience") when non-null. Budget breaches, OOM, and program traps are
+/// never retried (re-running would fail again); a shared FaultInjector keeps
+/// its counters across the hop, so one-shot faults do not re-fire on the
+/// retry.
 RunResult runResilient(Module &M, InterpOptions Opts,
                        const std::string &Entry = "main",
                        DiagnosticEngine *Diags = nullptr);

@@ -104,9 +104,8 @@ struct ProgramContext {
   };
   std::map<unsigned, LoopTraits> LoopTraitsOf;
 
-  /// The effective cycle cap: the smaller non-zero of Opts.MaxCycles and
-  /// Opts.Resilience.Budget.MaxCycles (0 = unlimited). Every engine's budget
-  /// check compares against this one folded value.
+  /// The cycle cap, Opts.Resilience.Budget.MaxCycles (0 = unlimited). Every
+  /// engine's budget check compares against this one value.
   uint64_t EffMaxCycles = 0;
 
   /// Absolute steady-clock expiry (monotonicNowNs() units) of the current

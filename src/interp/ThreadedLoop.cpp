@@ -216,19 +216,12 @@ struct WorkerCtx {
 Flow ThreadState::runForThreaded(
     unsigned LoopId, ParallelKind Kind, Type *IVType,
     const std::function<void(ForBounds &)> &EvalBounds,
-    const std::function<Flow()> &Body, const ThreadLoopHooks &Host,
-    ThreadPool &Pool) {
-  const unsigned N = static_cast<unsigned>(std::max(1, Opts.NumThreads));
+    const std::function<Flow()> &Body, const GuardPlan *GP,
+    const ThreadLoopHooks &Host, ThreadPool &Pool) {
+  // Eligibility already restricted guarded invocations to DOALL + Check mode.
+  Invocation Inv(LoopId, Kind, Opts.NumThreads, GP);
+  const unsigned N = Inv.N;
   const bool DOALL = Kind == ParallelKind::DOALL;
-
-  // Guard plan lookup mirrors the simulated path; eligibility already
-  // restricted guarded invocations to DOALL + Check mode.
-  const GuardPlan *GP = nullptr;
-  if (Opts.Guard != GuardMode::Off && N <= 127) {
-    auto GIt = P.GuardPlanOf.find(LoopId);
-    if (GIt != P.GuardPlanOf.end())
-      GP = GIt->second;
-  }
 
   const ProgramContext::LoopTraits *Traits = P.loopTraits(LoopId);
   const uint64_t WatchdogMs =
@@ -240,64 +233,16 @@ Flow ThreadState::runForThreaded(
   // roll back to the pre-invocation world and re-run on the simulated path,
   // bit-identical to a clean serial-order run. Armed before any of this
   // invocation's bookkeeping (stats, bounds evaluation) for exactly that
-  // reason. Eligibility already excludes observers, guard plans, rtpriv,
-  // and armed watches from threaded DOACROSS, so the scalar state below is
-  // the complete mutable set.
-  bool SpecArmed = false;
-  uint64_t SavedCycles = 0;
-  int64_t SavedTimeAdjust = 0;
-  std::string SavedOutput;
-  std::map<unsigned, LoopStats> SavedLoops;
-  int64_t SavedExitCode = 0;
-  VMValue SavedReturnValue;
-  bool SavedHalted = false;
-  if (WatchdogMs && Opts.Resilience.Ladder && !Mem.speculating()) {
-    Mem.beginSpeculation();
-    SpecArmed = true;
-    SavedCycles = Cycles;
-    SavedTimeAdjust = TimeAdjust;
-    SavedOutput = Output;
-    SavedLoops = Loops;
-    SavedExitCode = ExitCode;
-    SavedReturnValue = ReturnValue;
-    SavedHalted = Halted;
-  }
-
+  // reason.
+  Speculation Spec(*this);
+  if (WatchdogMs && Opts.Resilience.Ladder && !Mem.speculating())
+    Spec.arm();
+  if (!beginInvocation(Inv, EvalBounds))
+    return Flow::Halt;
+  const ForBounds &B = Inv.B;
+  const uint64_t Total = Inv.Total;
   LoopStats &LS = Loops[LoopId];
-  LS.Kind = Kind;
-  ++LS.Invocations;
-  if (LS.WorkPerThread.size() != N) {
-    LS.WorkPerThread.assign(N, 0);
-    LS.SyncStallPerThread.assign(N, 0);
-    LS.IdlePerThread.assign(N, 0);
-    LS.DispatchPerThread.assign(N, 0);
-  }
-
-  uint64_t Before = Cycles;
-  ForBounds B;
-  EvalBounds(B);
-  if (dead()) {
-    if (SpecArmed)
-      Mem.commitSpeculation();
-    return Flow::Halt;
-  }
-  if (B.Step <= 0) {
-    trap("parallel for loop with non-positive step");
-    if (SpecArmed)
-      Mem.commitSpeculation();
-    return Flow::Halt;
-  }
-  uint64_t Total =
-      B.Hi > B.Lo ? static_cast<uint64_t>((B.Hi - B.Lo + B.Step - 1) / B.Step)
-                  : 0;
-
-  if (GP) {
-    guardSetupRegions(GP, N);
-    if (GuardRegions.empty())
-      GP = nullptr;
-    else
-      ++LS.GuardedInvocations;
-  }
+  const bool Guarded = beginGuard(Inv);
 
   const uint64_t Chunk =
       DOALL ? std::max<uint64_t>(1, (Total + N - 1) / N) : 1;
@@ -335,7 +280,7 @@ Flow ThreadState::runForThreaded(
       WS.RecordOrdered = !DOALL;
       if (!DOALL)
         WS.DX = &Sync;
-      if (GP) {
+      if (Guarded) {
         WS.GuardActive = true;
         WS.GuardLoop = LoopId;
         WS.GuardRegions = GuardRegions; // private first-write shadow copy
@@ -443,7 +388,7 @@ Flow ThreadState::runForThreaded(
     Mem.endConcurrent();
 
     const bool WedgeFired = Sync.Wedged.load(std::memory_order_relaxed);
-    if (WedgeFired && SpecArmed) {
+    if (WedgeFired && Spec.armed()) {
       // Watchdog recovery: the frontier wedged, every worker has drained.
       // Abandon the whole attempt — no merge, no trap transfer — roll the
       // world back to the pre-invocation checkpoint and re-run the
@@ -452,21 +397,14 @@ Flow ThreadState::runForThreaded(
       // the rollback would otherwise reclaim behind releaseUntracked's back.
       for (WorkerCtx &W : Workers)
         Mem.releaseUntracked(W.FrameBase);
-      Mem.rollbackSpeculation();
-      Cycles = SavedCycles;
-      TimeAdjust = SavedTimeAdjust;
-      Output = std::move(SavedOutput);
-      Loops = std::move(SavedLoops);
-      ExitCode = SavedExitCode;
-      ReturnValue = SavedReturnValue;
-      Halted = SavedHalted;
+      Spec.rollback();
       noteDegradation(
           LoopId, /*Watchdog=*/true,
           formatString("DOACROSS watchdog fired (no lane progress within "
                        "%llu ms); re-running the invocation on the "
                        "simulated serial-order path",
                        static_cast<unsigned long long>(WatchdogMs)));
-      return runForParallel(LoopId, Kind, IVType, EvalBounds, Body);
+      return runForParallel(LoopId, Kind, IVType, EvalBounds, Body, GP);
     }
 
     //===------------------------------------------------------------------===//
@@ -541,7 +479,7 @@ Flow ThreadState::runForThreaded(
       }
     }
 
-    if (GP) {
+    if (Guarded) {
       // Guard-shadow merge. A region survives only if no worker freed its
       // block mid-loop (guardFree drops it from that worker's copy); for
       // survivors, each byte takes the stamp of the latest-iteration writer
@@ -665,22 +603,6 @@ Flow ThreadState::runForThreaded(
       Mem.releaseUntracked(W.FrameBase);
   }
 
-  // The attempt stands (clean, or a real program trap/halt/budget breach):
-  // keep its state and drop the recovery checkpoint.
-  if (SpecArmed)
-    Mem.commitSpeculation();
-
-  if (GP) {
-    // Same epilogue as a simulated guarded invocation: the commit scan over
-    // the (merged) shadow arms the post-loop watch, then the shadow goes
-    // away. Runs for Total == 0 too (fresh shadow, no-op scan).
-    guardCommit(GP, N);
-    guardTeardownRegions();
-    updateGuardHooks();
-  }
-
-  rtPrivCommitAll();
-
   // Virtual timeline replay: identical arithmetic, fed in iteration order.
   // The faulting iteration (when one exists) contributes its work cycles and
   // output above but not a timeline completion — exactly where the simulated
@@ -695,14 +617,10 @@ Flow ThreadState::runForThreaded(
     TL.completeIter(T, Recs[It].W, Recs[It].Events);
   }
 
-  uint64_t WorkDelta = Cycles - Before;
-  uint64_t SimTime = TL.maxReady() + Opts.Costs.ForkJoin;
-  LS.Iterations += Total;
-  LS.WorkCycles += WorkDelta;
-  LS.SimTime += SimTime;
-  TL.accumulate(LS);
-  TimeAdjust +=
-      static_cast<int64_t>(SimTime) - static_cast<int64_t>(WorkDelta);
-
+  // The attempt stands (clean, or a real program trap/halt/budget breach):
+  // the epilogue commits the (merged) guard shadow, and leaving the scope
+  // drops the recovery checkpoint. The guard commit runs for Total == 0 too
+  // (fresh shadow, no-op scan).
+  endInvocation(Inv, TL);
   return Result;
 }

@@ -17,8 +17,9 @@
 /// Failure handling follows one ladder: a threads-engine failure (worker
 /// pool unavailable, DOACROSS watchdog fire) degrades the loop invocation to
 /// the simulated serial-order path of the same run; a failure that ends a
-/// run with an engine-level fault (RunResult::EngineFault) is retried by
-/// runResilient() on the serial bytecode VM and finally the tree-walker.
+/// run with an engine-level fault (RunResult::EngineFault, raised only by
+/// the threads engine) is retried once by runResilient() on the serial
+/// bytecode VM.
 /// Resource breaches (deadline, cycle cap, byte budget, allocation failure)
 /// are not ladder rungs: re-running would breach again, so they convert into
 /// one attributed trap with deterministic teardown.
@@ -46,8 +47,8 @@ uint64_t monotonicNowNs();
 ///  - DeadlineMs: wall-clock ceiling for one run(), polled at loop-iteration
 ///    and allocation boundaries on every engine (workers included) and
 ///    converted into an attributed trap on breach;
-///  - MaxCycles: virtual work-cycle cap, folded with the legacy
-///    InterpOptions::MaxCycles (the smaller non-zero value wins);
+///  - MaxCycles: virtual work-cycle cap, checked at every loop-iteration
+///    boundary on every engine (the run's one cycle cap);
 ///  - MaxBytes: ceiling on the VM arena's live tracked bytes; an allocation
 ///    that would cross it fails and traps as out-of-memory.
 struct ExecBudget {

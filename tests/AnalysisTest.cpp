@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/PointsTo.h"
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "interp/Memory.h"
 #include "ir/AccessInfo.h"
 #include "ir/IRVisitor.h"
-#include "parallel/Pipeline.h"
 #include "profile/DepProfiler.h"
 
 #include <gtest/gtest.h>

@@ -10,9 +10,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
-#include "parallel/Pipeline.h"
 #include "support/Support.h"
 
 #include <gtest/gtest.h>

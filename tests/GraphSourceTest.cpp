@@ -14,9 +14,9 @@
 #include "analysis/AccessClasses.h"
 #include "analysis/GraphIO.h"
 #include "analysis/StaticDeps.h"
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
-#include "parallel/Pipeline.h"
 #include "profile/DepProfiler.h"
 
 #include <gtest/gtest.h>

@@ -23,10 +23,10 @@
 
 #include "analysis/AccessClasses.h"
 #include "analysis/DepGraph.h"
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Guard.h"
 #include "interp/Interp.h"
-#include "parallel/Pipeline.h"
 #include "profile/DepProfiler.h"
 #include "support/Diagnostics.h"
 
@@ -608,6 +608,118 @@ TEST_P(GuardFault, WitnessPrunedCleanRunBitIdentical) {
     EXPECT_EQ(It->second.GuardChecks, 0u);
     EXPECT_EQ(It->second.GuardViolations, 0u);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Rollback leaves no trace: the abandoned attempt prints, then traps or
+// halts in the very iteration whose read trips the guard. The fallback run
+// must equal a plain serial run of the same module on every field but the
+// guard counters.
+//===----------------------------------------------------------------------===//
+
+/// Every iteration but 2 rewrites buf[0] before reading it back; iteration
+/// 2 reads the 7 iteration 1 left there, a carried flow the lie drops.
+/// Under the lie, iteration 2 runs on thread 1 and reads its own
+/// never-written copy, which trips the guard, and the wrong value sends the
+/// attempt into \p Abandon before the iteration ends.
+std::string abandoningSrc(const char *Abandon) {
+  return std::string(R"(
+  int main() {
+    int* buf = malloc(4 * sizeof(int));
+    long acc = 0;
+    @candidate for (int i = 0; i < 8; i++) {
+      print_int(i);
+      if (i != 2) {
+        buf[0] = i * 7;
+      }
+      int s = buf[0];
+      if (i == 2) {
+        if (s != 7) { )") +
+         Abandon + R"( }
+      }
+      acc = acc + s;
+    }
+    print_int(acc);
+    free(buf);
+    return (int)acc;
+  }
+)";
+}
+
+void expectRollbackLeavesNoTrace(const std::string &Src, ExecEngine E,
+                                 bool AttemptTraps) {
+  SCOPED_TRACE(std::string("engine=") + engName(E));
+  unsigned LoopId;
+  LoopDepGraph Lie = clearDownwardsExposed(
+      clearUpwardsExposed(dropCarriedFlow(profiled(Src.c_str(), LoopId))));
+  Transformed T = transformWith(Src.c_str(), Lie);
+  ASSERT_TRUE(T.PR.Ok) << (T.PR.Errors.empty() ? "?" : T.PR.Errors.front());
+  ASSERT_TRUE(T.PR.Guard) << "fault injection privatized nothing";
+
+  // Check mode never abandons: it shows what the attempt does on its own.
+  RunResult Check = runGuarded(*T.M, E, GuardMode::Check, T.PR.Guard);
+  ASSERT_FALSE(Check.Violations.empty());
+  EXPECT_FALSE(Check.Output.empty());
+  if (AttemptTraps) {
+    ASSERT_TRUE(Check.Trapped);
+    EXPECT_EQ(Check.TrapLoopId, static_cast<int64_t>(T.LoopId));
+    EXPECT_EQ(Check.TrapIteration, 2);
+    EXPECT_EQ(Check.TrapThread, 1);
+  } else {
+    ASSERT_FALSE(Check.Trapped) << Check.TrapMessage;
+    EXPECT_EQ(Check.ExitCode, 3);
+  }
+
+  InterpOptions IO;
+  IO.NumThreads = 4;
+  IO.Engine = E;
+  IO.SimulateParallel = false;
+  Interp PlainI(*T.M, IO);
+  RunResult Plain = PlainI.run();
+  ASSERT_FALSE(Plain.Trapped) << Plain.TrapMessage;
+  EXPECT_EQ(Plain.Output, runSerial(Src.c_str()).Output);
+
+  RunResult Fb = runGuarded(*T.M, E, GuardMode::Fallback, T.PR.Guard);
+  EXPECT_GE(Fb.Loops.at(T.LoopId).GuardFallbacks, 1u);
+  EXPECT_EQ(Fb.Output, Plain.Output);
+  EXPECT_EQ(Fb.Trapped, Plain.Trapped);
+  EXPECT_EQ(Fb.TrapMessage, Plain.TrapMessage);
+  EXPECT_EQ(Fb.TrapLoopId, Plain.TrapLoopId);
+  EXPECT_EQ(Fb.TrapIteration, Plain.TrapIteration);
+  EXPECT_EQ(Fb.TrapThread, Plain.TrapThread);
+  EXPECT_EQ(Fb.ExitCode, Plain.ExitCode);
+  EXPECT_EQ(Fb.WorkCycles, Plain.WorkCycles);
+  EXPECT_EQ(Fb.SimTime, Plain.SimTime);
+  EXPECT_EQ(Fb.PeakMemoryBytes, Plain.PeakMemoryBytes);
+  EXPECT_EQ(Fb.RtPrivTranslations, Plain.RtPrivTranslations);
+  EXPECT_EQ(Fb.RtPrivBytesCopied, Plain.RtPrivBytesCopied);
+  ASSERT_EQ(Fb.Loops.size(), Plain.Loops.size());
+  for (const auto &[Id, Want] : Plain.Loops) {
+    SCOPED_TRACE("loop " + std::to_string(Id));
+    const LoopStats &Got = Fb.Loops.at(Id);
+    EXPECT_EQ(Got.Kind, Want.Kind);
+    EXPECT_EQ(Got.Invocations, Want.Invocations);
+    EXPECT_EQ(Got.Iterations, Want.Iterations);
+    EXPECT_EQ(Got.WorkCycles, Want.WorkCycles);
+    EXPECT_EQ(Got.SimTime, Want.SimTime);
+    EXPECT_EQ(Got.WorkPerThread, Want.WorkPerThread);
+    EXPECT_EQ(Got.SyncStallPerThread, Want.SyncStallPerThread);
+    EXPECT_EQ(Got.IdlePerThread, Want.IdlePerThread);
+    EXPECT_EQ(Got.DispatchPerThread, Want.DispatchPerThread);
+    EXPECT_EQ(Got.Degradations, Want.Degradations);
+    EXPECT_EQ(Got.WatchdogFires, Want.WatchdogFires);
+  }
+}
+
+TEST_P(GuardFault, RollbackClearsAbandonedTrap) {
+  expectRollbackLeavesNoTrace(
+      abandoningSrc("int z = 0; acc = acc / z;"), GetParam(),
+      /*AttemptTraps=*/true);
+}
+
+TEST_P(GuardFault, RollbackClearsAbandonedHalt) {
+  expectRollbackLeavesNoTrace(abandoningSrc("exit(3);"), GetParam(),
+                              /*AttemptTraps=*/false);
 }
 
 // The Threads row runs the whole fault matrix on real host threads: check

@@ -14,11 +14,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/GraphIO.h"
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Bytecode.h"
 #include "interp/Interp.h"
 #include "ir/IRPrinter.h"
-#include "parallel/Pipeline.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -524,6 +524,64 @@ TEST(AnalysisCache, ProfileGraphIdenticalUnderBothEngines) {
   LoopDepGraph Tree = ProfileWith("tree");
   LoopDepGraph Byte = ProfileWith("bytecode");
   EXPECT_EQ(serializeDepGraph(Tree), serializeDepGraph(Byte));
+}
+
+//===----------------------------------------------------------------------===//
+// Guard plans name accesses by id, and the numbering a post-compile query
+// recomputes rewrites the ids in the IR in place: the plans must follow.
+//===----------------------------------------------------------------------===//
+
+TEST(AnalysisCache, GuardPlansSurviveRenumberingAfterCompile) {
+  for (const char *Name : {"histogram", "dijkstra"}) {
+    SCOPED_TRACE(Name);
+    const WorkloadInfo *W = findWorkload(Name);
+    ASSERT_NE(W, nullptr);
+    std::unique_ptr<Module> M = parseMiniCOrDie(W->Source, Name);
+    CompilationSession S(*M);
+    std::vector<std::shared_ptr<const GuardPlan>> Plans;
+    for (unsigned L : S.candidateLoops()) {
+      PipelineResult PR = S.compileLoop(L);
+      ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
+      if (PR.Guard)
+        Plans.push_back(PR.Guard);
+    }
+    ASSERT_FALSE(Plans.empty());
+
+    auto RunChecked = [&](std::shared_ptr<const BytecodeModule> BC,
+                          ExecEngine E) {
+      InterpOptions IO;
+      IO.Engine = E;
+      IO.NumThreads = 2;
+      IO.BoundsCheck = false;
+      IO.Precompiled = std::move(BC);
+      IO.Guard = GuardMode::Check;
+      IO.GuardPlans = Plans;
+      Interp I(*M, IO);
+      return I.run();
+    };
+    // The reference: a lowering of the IR exactly as compileLoop left it.
+    RunResult Ref =
+        RunChecked(lowerToBytecode(*M, CostModel()), ExecEngine::Bytecode);
+    ASSERT_TRUE(Ref.ok()) << Ref.TrapMessage;
+    ASSERT_TRUE(Ref.Violations.empty()) << Ref.Violations.front().str();
+
+    // bytecode() renumbers the transformed module before lowering it.
+    std::shared_ptr<const BytecodeModule> Cached = S.analyses().bytecode();
+    for (ExecEngine E : {ExecEngine::Bytecode, ExecEngine::Threads}) {
+      RunResult R = RunChecked(Cached, E);
+      ASSERT_TRUE(R.ok()) << R.TrapMessage;
+      EXPECT_TRUE(R.Violations.empty()) << R.Violations.front().str();
+      EXPECT_EQ(R.Output, Ref.Output);
+      EXPECT_EQ(R.WorkCycles, Ref.WorkCycles);
+      for (const std::shared_ptr<const GuardPlan> &GP : Plans) {
+        const LoopStats &Want = Ref.Loops.at(GP->LoopId);
+        const LoopStats &Got = R.Loops.at(GP->LoopId);
+        EXPECT_GT(Got.GuardedInvocations, 0u);
+        EXPECT_EQ(Got.GuardedInvocations, Want.GuardedInvocations);
+        EXPECT_EQ(Got.GuardChecks, Want.GuardChecks);
+      }
+    }
+  }
 }
 
 } // namespace

@@ -20,7 +20,6 @@
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "ir/IRPrinter.h"
-#include "parallel/Pipeline.h"
 #include "support/Support.h"
 
 #include <gtest/gtest.h>

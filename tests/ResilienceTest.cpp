@@ -17,9 +17,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
-#include "parallel/Pipeline.h"
 #include "support/Diagnostics.h"
 #include "support/Resilience.h"
 

@@ -11,9 +11,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
+#include "interp/Interp.h"
 #include "ir/IRPrinter.h"
-#include "parallel/Pipeline.h"
 
 #include <gtest/gtest.h>
 
