@@ -57,13 +57,20 @@ struct JsonSink {
     /// Resilience ladder activity, summed over loops (0 on clean runs).
     uint64_t Degradations = 0, WatchdogFires = 0;
     /// Per-loop guard counters; empty when no loop was guarded.
-    std::vector<GuardLoopRec> GuardLoops;
+    std::vector<GuardLoopRec> GuardLoops{};
   };
   std::vector<Rec> Recs;
   /// Bench-specific records (complete JSON object literals) appended via
   /// addJsonRecord; emitted verbatim under "records".
   std::vector<std::string> Extra;
 };
+
+/// The one place GDSE_ENGINE and GDSE_GUARD reach a run: what \p R leaves
+/// unset takes the environment's choice.
+std::pair<ExecEngine, GuardMode> resolve(const RunRequest &R) {
+  return {R.Engine.value_or(engineFromEnv()),
+          R.Guard.value_or(guardModeFromEnv())};
+}
 
 JsonSink &jsonSink() {
   static JsonSink S;
@@ -85,7 +92,7 @@ void writeJson() {
   std::fprintf(F, "{\n  \"bench\": \"%s\",\n", S.BenchId.c_str());
   std::fprintf(F, "  \"config\": {\"engine\": \"%s\", \"bounds_check\": "
                   "false},\n",
-               engineName(engineFromEnv()));
+               engineName(resolve({}).first));
   std::fprintf(F, "  \"wall_time_ns\": %llu,\n",
                static_cast<unsigned long long>(WallNs));
   std::fprintf(F, "  \"runs\": [");
@@ -184,7 +191,7 @@ PreparedProgram gdse::bench::prepareOriginal(const WorkloadInfo &W) {
     return P;
   }
   P.M = std::move(R.M);
-  P.LoopIds = findCandidateLoops(*P.M);
+  P.LoopIds = CompilationSession(*P.M).candidateLoops();
   P.Ok = true;
   return P;
 }
@@ -197,14 +204,12 @@ PreparedProgram gdse::bench::prepareTransformed(const WorkloadInfo &W,
   // One session per workload: cached analyses carry across the candidate
   // loops and the session's registry accounts every pass and analysis.
   CompilationSession Session(*P.M);
-  for (unsigned LoopId : P.LoopIds) {
-    PipelineResult PR = Session.compileLoop(LoopId, Opts);
-    if (!PR.Ok) {
-      P.Ok = false;
-      P.Error = PR.Errors.empty() ? "transformation failed" : PR.Errors.front();
-      return P;
-    }
-    P.Pipelines.push_back(std::move(PR));
+  P.Pipelines = Session.compileAll(Opts);
+  if (!P.Pipelines.empty() && !P.Pipelines.back().Ok) {
+    const std::vector<std::string> &Errors = P.Pipelines.back().Errors;
+    P.Ok = false;
+    P.Error = Errors.empty() ? "transformation failed" : Errors.front();
+    return P;
   }
   P.CompileTiming = Session.timing().records();
   P.CompileReport =
@@ -305,32 +310,12 @@ void gdse::bench::reportCompileTiming(const PreparedProgram &P, bool Force) {
   std::fputs(P.CompileReport.c_str(), stderr);
 }
 
-RunResult gdse::bench::execute(PreparedProgram &P, int Threads,
-                               bool SimulateParallel) {
-  return executeGuarded(P, Threads, guardModeFromEnv(), SimulateParallel);
-}
-
-RunResult gdse::bench::executeGuarded(PreparedProgram &P, int Threads,
-                                      GuardMode Guard, bool SimulateParallel) {
-  return executeOnEngine(P, engineFromEnv(), Threads, Guard, SimulateParallel);
-}
-
-RunResult gdse::bench::executeOnEngine(PreparedProgram &P, ExecEngine Engine,
-                                       int Threads, GuardMode Guard,
-                                       bool SimulateParallel) {
-  return executeResilient(P, Engine, Threads, ResilienceOptions(), Guard,
-                          SimulateParallel);
-}
-
-RunResult gdse::bench::executeResilient(PreparedProgram &P, ExecEngine Engine,
-                                        int Threads,
-                                        const ResilienceOptions &Resilience,
-                                        GuardMode Guard,
-                                        bool SimulateParallel) {
+RunResult gdse::bench::execute(PreparedProgram &P, const RunRequest &Req) {
+  auto [Engine, Guard] = resolve(Req);
   InterpOptions IO;
-  IO.NumThreads = Threads;
-  IO.SimulateParallel = SimulateParallel;
-  IO.Resilience = Resilience;
+  IO.NumThreads = Req.Threads;
+  IO.SimulateParallel = Req.SimulateParallel;
+  IO.Resilience = Req.Resilience;
   // The transformed programs are test-verified; skip per-access bounds
   // checking for faster experiment turnaround.
   IO.BoundsCheck = false;
@@ -352,10 +337,13 @@ RunResult gdse::bench::executeResilient(PreparedProgram &P, ExecEngine Engine,
 
   JsonSink &S = jsonSink();
   if (S.Enabled) {
-    JsonSink::Rec Rec{P.Info ? P.Info->Name : "?", engineName(IO.Engine),
-                      Threads, SimulateParallel,   R.Trapped,  R.WorkCycles,
-                      R.SimTime, R.HostNanos,      R.PeakMemoryBytes,
-                      guardModeName(Guard),        {}};
+    JsonSink::Rec Rec{.Workload = P.Info ? P.Info->Name : "?",
+                      .Engine = engineName(Engine), .Threads = Req.Threads,
+                      .SimulateParallel = Req.SimulateParallel,
+                      .Trapped = R.Trapped, .WorkCycles = R.WorkCycles,
+                      .SimTime = R.SimTime, .HostNanos = R.HostNanos,
+                      .PeakBytes = R.PeakMemoryBytes,
+                      .GuardMode = guardModeName(Guard)};
     for (const auto &[LoopId, L] : R.Loops) {
       Rec.Degradations += L.Degradations;
       Rec.WatchdogFires += L.WatchdogFires;

@@ -25,6 +25,7 @@
 #include "workloads/Workloads.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,8 +40,7 @@ struct PreparedProgram {
   const WorkloadInfo *Info = nullptr;
   std::unique_ptr<Module> M;
   /// Lazily-built register bytecode for M, shared by every execute() of
-  /// this program when the bytecode engine is selected (the default; set
-  /// GDSE_ENGINE=tree to measure the reference tree-walker).
+  /// this program on the bytecode and threads engines.
   std::shared_ptr<const BytecodeModule> Bytecode;
   /// One pipeline result per candidate loop, in program order.
   std::vector<PipelineResult> Pipelines;
@@ -105,37 +105,32 @@ void initBenchIO(int &argc, char **argv);
 /// counts, guard_overhead's elision tallies, ...). No-op without --json.
 void addJsonRecord(const std::string &JsonObject);
 
-/// Executes a prepared program. \p Threads is the simulated core count;
-/// \p SimulateParallel=false forces sequential execution of parallel-marked
-/// loops (the Figure 9/10 single-core overhead methodology). Runs on
-/// engineFromEnv() — the bytecode VM unless GDSE_ENGINE says otherwise —
-/// lowering P once and reusing it across calls. Guard mode follows
-/// GDSE_GUARD (off when unset); guard plans come from P's pipeline results.
-RunResult execute(PreparedProgram &P, int Threads,
-                  bool SimulateParallel = true);
+/// How execute() runs a prepared program.
+struct RunRequest {
+  /// The simulated core count (the paper's N); on the threads engine also
+  /// the number of host workers.
+  int Threads = 1;
+  /// Unset: GDSE_ENGINE, the bytecode VM when that is unset too. The
+  /// host-measured figures name Bytecode (serial reference) and Threads
+  /// (real dispatch) explicitly; virtual metrics are bit-identical across
+  /// engines, HostNanos is the wall-clock reading.
+  std::optional<ExecEngine> Engine{};
+  /// Unset: GDSE_GUARD, off when that is unset too. Guard plans come from
+  /// the program's pipeline results; per-loop guard counters land in the
+  /// --json record either way.
+  std::optional<GuardMode> Guard{};
+  /// false forces sequential execution of parallel-marked loops (the
+  /// Figure 9/10 single-core overhead methodology).
+  bool SimulateParallel = true;
+  /// Budgets, watchdog and fault injection; the default adds nothing
+  /// (resilience_overhead arms unbreachable budgets against it).
+  ResilienceOptions Resilience{};
+};
 
-/// execute() under an explicit guard mode (bench_guard_overhead runs the
-/// same program under off and check back to back). Per-loop guard counters
-/// land in the --json record either way.
-RunResult executeGuarded(PreparedProgram &P, int Threads, GuardMode Guard,
-                         bool SimulateParallel = true);
-
-/// execute() on an explicit engine, ignoring GDSE_ENGINE — the host-measured
-/// figures run the same program on the bytecode engine (serial reference)
-/// and the threads engine (real dispatch) back to back. HostNanos in the
-/// result is the wall-clock reading; all virtual metrics stay bit-identical
-/// across engines by the threads engine's contract.
-RunResult executeOnEngine(PreparedProgram &P, ExecEngine Engine, int Threads,
-                          GuardMode Guard = GuardMode::Off,
-                          bool SimulateParallel = true);
-
-/// executeOnEngine() with an explicit resilience policy (budgets, watchdog,
-/// fault injection) — resilience_overhead arms unbreachable budgets and
-/// measures the polling cost against the default-off run.
-RunResult executeResilient(PreparedProgram &P, ExecEngine Engine, int Threads,
-                           const ResilienceOptions &Resilience,
-                           GuardMode Guard = GuardMode::Off,
-                           bool SimulateParallel = true);
+/// Executes a prepared program as \p Req asks, lowering P once and reusing
+/// the lowering across calls on the register-VM engines. Bounds checking
+/// is off.
+RunResult execute(PreparedProgram &P, const RunRequest &Req);
 
 /// Sum of SimTime over the program's candidate loops.
 uint64_t loopSimTime(const RunResult &R, const std::vector<unsigned> &LoopIds);

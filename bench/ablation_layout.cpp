@@ -40,7 +40,7 @@ void runLayout(benchmark::State &State, const WorkloadInfo &W,
                bool Interleaved) {
   for (auto _ : State) {
     PreparedProgram Orig = prepareOriginal(W);
-    RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+    RunResult RO = execute(Orig, {.Threads = 1, .SimulateParallel = false});
 
     PipelineOptions Opts;
     Opts.Expansion.Layout =
@@ -54,10 +54,10 @@ void runLayout(benchmark::State &State, const WorkloadInfo &W,
       State.counters["applicable"] = 0;
       continue;
     }
-    RunResult RT = execute(Xf, 4);
+    RunResult RT = execute(Xf, {.Threads = 4});
     R.Applicable = true;
     R.Correct = RT.ok() && RT.Output == RO.Output;
-    RunResult RTSeq = execute(Xf, 1, /*SimulateParallel=*/false);
+    RunResult RTSeq = execute(Xf, {.Threads = 1, .SimulateParallel = false});
     R.Slowdown = static_cast<double>(RTSeq.WorkCycles) /
                  static_cast<double>(RO.WorkCycles);
     Rows[W.Name][Interleaved] = R;

@@ -45,7 +45,7 @@ void runConfig(benchmark::State &State, const WorkloadInfo &W,
                const Config &C) {
   for (auto _ : State) {
     PreparedProgram Orig = prepareOriginal(W);
-    RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+    RunResult RO = execute(Orig, {.Threads = 1, .SimulateParallel = false});
 
     PipelineOptions Opts;
     Opts.Expansion.SelectivePromotion = C.Selective;
@@ -56,7 +56,7 @@ void runConfig(benchmark::State &State, const WorkloadInfo &W,
       State.SkipWithError(Xf.Error.c_str());
       return;
     }
-    RunResult RT = execute(Xf, 1, /*SimulateParallel=*/false);
+    RunResult RT = execute(Xf, {.Threads = 1, .SimulateParallel = false});
     if (!RT.ok() || RT.Output != RO.Output) {
       State.SkipWithError("output mismatch");
       return;

@@ -78,8 +78,8 @@ bool measure(benchmark::State &State, PreparedProgram &Xf, Config &C) {
     State.SkipWithError(Xf.Error.c_str());
     return false;
   }
-  RunResult Off = executeGuarded(Xf, Cores, GuardMode::Off);
-  RunResult Check = executeGuarded(Xf, Cores, GuardMode::Check);
+  RunResult Off = execute(Xf, {.Threads = Cores, .Guard = GuardMode::Off});
+  RunResult Check = execute(Xf, {.Threads = Cores, .Guard = GuardMode::Check});
   if (!Off.ok() || !Check.ok()) {
     State.SkipWithError("run trapped");
     return false;

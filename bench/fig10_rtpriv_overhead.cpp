@@ -36,7 +36,7 @@ std::vector<Row> Rows;
 void runFig10(benchmark::State &State, const WorkloadInfo &W) {
   for (auto _ : State) {
     PreparedProgram Orig = prepareOriginal(W);
-    RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+    RunResult RO = execute(Orig, {.Threads = 1, .SimulateParallel = false});
 
     PipelineOptions ExpOpts;
     PreparedProgram &Exp = preparedForAll(W, ExpOpts);
@@ -47,8 +47,8 @@ void runFig10(benchmark::State &State, const WorkloadInfo &W) {
       State.SkipWithError((Exp.Ok ? Rt.Error : Exp.Error).c_str());
       return;
     }
-    RunResult RE = execute(Exp, 1, /*SimulateParallel=*/false);
-    RunResult RR = execute(Rt, 1, /*SimulateParallel=*/false);
+    RunResult RE = execute(Exp, {.Threads = 1, .SimulateParallel = false});
+    RunResult RR = execute(Rt, {.Threads = 1, .SimulateParallel = false});
     if (RO.Output != RE.Output || RO.Output != RR.Output) {
       State.SkipWithError("output mismatch");
       return;

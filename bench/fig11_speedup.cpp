@@ -50,14 +50,14 @@ std::map<std::string, Row> Rows;
 void runFig11(benchmark::State &State, const WorkloadInfo &W, int N) {
   for (auto _ : State) {
     PreparedProgram Orig = prepareOriginal(W);
-    RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+    RunResult RO = execute(Orig, {.Threads = 1, .SimulateParallel = false});
 
     PreparedProgram &Xf = preparedForAll(W, PipelineOptions());
     if (!Xf.Ok) {
       State.SkipWithError(Xf.Error.c_str());
       return;
     }
-    RunResult RT = execute(Xf, N);
+    RunResult RT = execute(Xf, {.Threads = N});
     if (!RO.ok() || !RT.ok() || RO.Output != RT.Output) {
       State.SkipWithError("run failed or output mismatch");
       return;
@@ -85,15 +85,19 @@ void runFig11(benchmark::State &State, const WorkloadInfo &W, int N) {
 void runFig11Host(benchmark::State &State, const WorkloadInfo &W, int N) {
   for (auto _ : State) {
     PreparedProgram Orig = prepareOriginal(W);
-    RunResult RO = executeOnEngine(Orig, ExecEngine::Bytecode, 1,
-                                   GuardMode::Off, /*SimulateParallel=*/false);
+    RunResult RO = execute(Orig, {.Threads = 1,
+                                   .Engine = ExecEngine::Bytecode,
+                                   .Guard = GuardMode::Off,
+                                   .SimulateParallel = false});
 
     PreparedProgram &Xf = preparedForAll(W, PipelineOptions());
     if (!Xf.Ok) {
       State.SkipWithError(Xf.Error.c_str());
       return;
     }
-    RunResult RT = executeOnEngine(Xf, ExecEngine::Threads, N);
+    RunResult RT = execute(Xf, {.Threads = N,
+                                .Engine = ExecEngine::Threads,
+                                .Guard = GuardMode::Off});
     if (!RO.ok() || !RT.ok() || RO.Output != RT.Output) {
       State.SkipWithError("host-threaded run failed or output mismatch");
       return;

@@ -39,7 +39,7 @@ void runFig12(benchmark::State &State, const WorkloadInfo &W) {
       State.SkipWithError(Xf.Error.c_str());
       return;
     }
-    RunResult R = execute(Xf, /*Threads=*/8);
+    RunResult R = execute(Xf, {.Threads = 8});
     if (!R.ok()) {
       State.SkipWithError(R.TrapMessage.c_str());
       return;

@@ -30,7 +30,7 @@ std::map<std::string, std::map<int, double>> LoopSpeedup;
 void runFig13(benchmark::State &State, const WorkloadInfo &W, int N) {
   for (auto _ : State) {
     PreparedProgram Orig = prepareOriginal(W);
-    RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+    RunResult RO = execute(Orig, {.Threads = 1, .SimulateParallel = false});
 
     PipelineOptions Opts;
     Opts.Method = PrivatizationMethod::Runtime;
@@ -39,7 +39,7 @@ void runFig13(benchmark::State &State, const WorkloadInfo &W, int N) {
       State.SkipWithError(Xf.Error.c_str());
       return;
     }
-    RunResult RT = execute(Xf, N);
+    RunResult RT = execute(Xf, {.Threads = N});
     if (!RO.ok() || !RT.ok() || RO.Output != RT.Output) {
       State.SkipWithError("run failed or output mismatch");
       return;

@@ -40,7 +40,7 @@ std::map<Key, double> Multiple;
 void runFig14(benchmark::State &State, const WorkloadInfo &W, int N, bool Rt) {
   for (auto _ : State) {
     PreparedProgram Orig = prepareOriginal(W);
-    RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+    RunResult RO = execute(Orig, {.Threads = 1, .SimulateParallel = false});
 
     PipelineOptions Opts;
     if (Rt)
@@ -50,7 +50,7 @@ void runFig14(benchmark::State &State, const WorkloadInfo &W, int N, bool Rt) {
       State.SkipWithError(Xf.Error.c_str());
       return;
     }
-    RunResult RT = execute(Xf, N);
+    RunResult RT = execute(Xf, {.Threads = N});
     if (!RO.ok() || !RT.ok()) {
       State.SkipWithError("run failed");
       return;

@@ -118,7 +118,7 @@ void emitPrecisionLadder(const WorkloadInfo &W) {
 double speedupFor(const WorkloadInfo &W, const PipelineOptions &Opts,
                   std::string &Note) {
   PreparedProgram Orig = prepareOriginal(W);
-  RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+  RunResult RO = execute(Orig, {.Threads = 1, .SimulateParallel = false});
   PreparedProgram Xf = prepareTransformed(W, Opts);
   if (!Xf.Ok) {
     Note = Xf.Error;
@@ -131,7 +131,7 @@ double speedupFor(const WorkloadInfo &W, const PipelineOptions &Opts,
     Note = "not parallelized";
     return 0.0;
   }
-  RunResult RT = execute(Xf, 8);
+  RunResult RT = execute(Xf, {.Threads = 8});
   if (!RT.ok() || RT.Output != RO.Output) {
     Note = RT.ok() ? "output mismatch" : RT.TrapMessage;
     return 0.0;

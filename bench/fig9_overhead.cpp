@@ -36,13 +36,13 @@ std::vector<Row> Rows;
 double measureSlowdown(const WorkloadInfo &W, const PipelineOptions &Opts,
                        std::string &Error) {
   PreparedProgram Orig = prepareOriginal(W);
-  RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+  RunResult RO = execute(Orig, {.Threads = 1, .SimulateParallel = false});
   PreparedProgram Xf = prepareTransformed(W, Opts);
   if (!Xf.Ok) {
     Error = Xf.Error;
     return 0.0;
   }
-  RunResult RT = execute(Xf, 1, /*SimulateParallel=*/false);
+  RunResult RT = execute(Xf, {.Threads = 1, .SimulateParallel = false});
   if (!RO.ok() || !RT.ok()) {
     Error = RO.ok() ? RT.TrapMessage : RO.TrapMessage;
     return 0.0;

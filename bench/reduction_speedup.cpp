@@ -68,7 +68,7 @@ PreparedProgram &transformedReduction(const WorkloadInfo &W, bool TierOn) {
 void runReductionSim(benchmark::State &State, const WorkloadInfo &W, int N) {
   for (auto _ : State) {
     PreparedProgram Orig = prepareOriginal(W);
-    RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+    RunResult RO = execute(Orig, {.Threads = 1, .SimulateParallel = false});
 
     PreparedProgram &Xf = transformedReduction(W, /*TierOn=*/true);
     if (!Xf.Ok) {
@@ -82,7 +82,7 @@ void runReductionSim(benchmark::State &State, const WorkloadInfo &W, int N) {
       State.SkipWithError("commutative tier claimed nothing");
       return;
     }
-    RunResult RT = execute(Xf, N);
+    RunResult RT = execute(Xf, {.Threads = N});
     if (!RO.ok() || !RT.ok() || RO.Output != RT.Output) {
       State.SkipWithError("run failed or output mismatch");
       return;
@@ -91,7 +91,7 @@ void runReductionSim(benchmark::State &State, const WorkloadInfo &W, int N) {
     PreparedProgram &Off = transformedReduction(W, /*TierOn=*/false);
     double OffSp = 0.0;
     if (Off.Ok) {
-      RunResult ROff = execute(Off, N);
+      RunResult ROff = execute(Off, {.Threads = N});
       if (ROff.ok() && ROff.Output == RO.Output)
         OffSp = static_cast<double>(RO.SimTime) /
                 static_cast<double>(ROff.SimTime);
@@ -116,15 +116,19 @@ void runReductionSim(benchmark::State &State, const WorkloadInfo &W, int N) {
 void runReductionHost(benchmark::State &State, const WorkloadInfo &W, int N) {
   for (auto _ : State) {
     PreparedProgram Orig = prepareOriginal(W);
-    RunResult RO = executeOnEngine(Orig, ExecEngine::Bytecode, 1,
-                                   GuardMode::Off, /*SimulateParallel=*/false);
+    RunResult RO = execute(Orig, {.Threads = 1,
+                                   .Engine = ExecEngine::Bytecode,
+                                   .Guard = GuardMode::Off,
+                                   .SimulateParallel = false});
 
     PreparedProgram &Xf = transformedReduction(W, /*TierOn=*/true);
     if (!Xf.Ok) {
       State.SkipWithError(Xf.Error.c_str());
       return;
     }
-    RunResult RT = executeOnEngine(Xf, ExecEngine::Threads, N);
+    RunResult RT = execute(Xf, {.Threads = N,
+                                .Engine = ExecEngine::Threads,
+                                .Guard = GuardMode::Off});
     if (!RO.ok() || !RT.ok() || RO.Output != RT.Output) {
       State.SkipWithError("host-threaded run failed or output mismatch");
       return;

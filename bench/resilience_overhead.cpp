@@ -80,8 +80,13 @@ bool measure(benchmark::State &State, PreparedProgram &Xf, ExecEngine Engine,
              int Threads, Cell &C) {
   uint64_t OffBest = 0, ArmedBest = 0;
   for (int Rep = 0; Rep != Reps; ++Rep) {
-    RunResult Off = executeOnEngine(Xf, Engine, Threads);
-    RunResult Armed = executeResilient(Xf, Engine, Threads, armedOptions());
+    RunResult Off = execute(Xf, {.Threads = Threads,
+                                 .Engine = Engine,
+                                 .Guard = GuardMode::Off});
+    RunResult Armed = execute(Xf, {.Threads = Threads,
+                                     .Engine = Engine,
+                                     .Guard = GuardMode::Off,
+                                     .Resilience = armedOptions()});
     if (!Off.ok() || !Armed.ok()) {
       State.SkipWithError("run trapped");
       return false;

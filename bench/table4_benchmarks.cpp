@@ -54,7 +54,7 @@ void runTable4(benchmark::State &State, const WorkloadInfo &W) {
     }
     // Sequential run of the ORIGINAL program to measure the loop share.
     PreparedProgram Orig = prepareOriginal(W);
-    RunResult R = execute(Orig, /*Threads=*/1);
+    RunResult R = execute(Orig, {.Threads = 1});
     double Pct = R.WorkCycles
                      ? 100.0 * static_cast<double>(
                                    loopWorkCycles(R, Orig.LoopIds)) /

@@ -32,6 +32,7 @@
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "ir/IRPrinter.h"
+#include "support/Support.h"
 
 #include <cstdio>
 #include <fstream>
@@ -153,6 +154,9 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "--audit-deps requires --transform\n");
     return 1;
   }
+  // GDSE_AUDIT_DEPS asks for the audit as --audit-deps does, but only where
+  // there is something to audit.
+  AuditDeps = AuditDeps || (Transform && envFlag("GDSE_AUDIT_DEPS"));
 
   std::vector<InputProgram> Programs;
   for (const std::string &Path : Paths) {

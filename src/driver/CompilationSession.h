@@ -85,14 +85,13 @@ public:
   std::vector<unsigned> candidateLoops();
 
   /// Profile -> classify -> privatize -> plan for one loop, mutating the
-  /// module. Identical semantics to the legacy transformLoop(), plus
-  /// structured diagnostics in PipelineResult::Diags.
+  /// module. Every diagnostic it emits is also in PipelineResult::Diags.
   PipelineResult compileLoop(unsigned LoopId,
                              const PipelineOptions &Opts = PipelineOptions());
 
   /// Batch compilation: compileLoop for every candidate loop, in program
   /// order. Stops at the first loop whose pipeline fails (the module must
-  /// be discarded then, exactly like a failed transformLoop).
+  /// be discarded then).
   std::vector<PipelineResult>
   compileAll(const PipelineOptions &Opts = PipelineOptions());
 

@@ -674,18 +674,20 @@ ExpansionResult gdse::expandLoop(Module &M, unsigned LoopId,
   // The helpers are appended as new module functions — AccessNumbering
   // numbers them after every existing loop and access, so the profiled ids
   // of other candidate loops in this module stay stable — and called around
-  // the target loop. Copies 1..N-1 take the op's identity at loop entry;
-  // copy 0 keeps the pre-loop value and absorbs the others in serial copy
-  // order at loop exit, so `v0 op x1 op ... op xk` is only reassociated,
-  // never reordered across a non-identity — exact for wrap-around integer
-  // + and *, idempotent for min/max. Under guard fallback the loop-entry
-  // checkpoint lands after the init calls: rollback restores identities,
-  // the serial re-run accumulates on copy 0, and the merge degenerates to
-  // a no-op.
+  // the target loop. Their loops take those same ids right away, so a
+  // lowering of the module as it stands keys each apart. Copies 1..N-1
+  // take the op's identity at loop entry; copy 0 keeps the pre-loop value
+  // and absorbs the others in serial copy order at loop exit, so
+  // `v0 op x1 op ... op xk` is only reassociated, never reordered across a
+  // non-identity — exact for wrap-around integer + and *, idempotent for
+  // min/max. Under guard fallback the loop-entry checkpoint lands after the
+  // init calls: rollback restores identities, the serial re-run accumulates
+  // on copy 0, and the merge degenerates to a no-op.
   if (!CommObjs.empty()) {
     TypeContext &Ctx = Cx.types();
     IRBuilder &B = Cx.B;
     std::vector<Stmt *> InitCalls, MergeCalls;
+    unsigned NextLoopId = Num.numLoops();
     for (const auto &Entry : CommObjs) {
       uint32_t Obj = Entry.first;
       VarDecl *V = Entry.second.Var;
@@ -777,11 +779,16 @@ ExpansionResult gdse::expandLoop(Module &M, unsigned LoopId,
           return B.index(B.loadVar(P), Flat);
         };
         Stmt *Inner = Emit(LV);
-        if (EV)
-          Inner = B.forStmt(EV, B.intLit(0), B.intLit(NumElems), B.intLit(1),
-                            B.block({Inner}));
-        Stmt *Loop = B.forStmt(TV, B.intLit(1), B.numThreads(), B.intLit(1),
-                               B.block({Inner}));
+        ForStmt *ElemLoop =
+            EV ? B.forStmt(EV, B.intLit(0), B.intLit(NumElems), B.intLit(1),
+                           B.block({Inner}))
+               : nullptr;
+        ForStmt *Loop =
+            B.forStmt(TV, B.intLit(1), B.numThreads(), B.intLit(1),
+                      B.block({ElemLoop ? ElemLoop : Inner}));
+        Loop->setLoopId(++NextLoopId);
+        if (ElemLoop)
+          ElemLoop->setLoopId(++NextLoopId);
         F->setBody(B.block({Loop}));
         return F;
       };

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A tree-walking VM over the IR with:
+/// The VM over the IR (three bit-identical engines, see ExecEngine) with:
 ///  - a deterministic cycle cost model (CostModel.h);
 ///  - a virtual-multicore scheduler for loops annotated DOALL/DOACROSS:
 ///    iterations execute in serial order (always semantically safe for code
@@ -65,9 +65,9 @@ enum class ExecEngine : uint8_t {
 
 /// Engine selection from the GDSE_ENGINE environment variable:
 /// "tree"/"treewalk", "bytecode"/"bc", or "threads"; anything else (or
-/// unset) yields \p Default. Benchmarks and tools use this with the
-/// Bytecode default; the library-level InterpOptions default stays
-/// TreeWalk.
+/// unset) yields \p Default. Only the tools and the bench harness call
+/// this; nothing else reads GDSE_ENGINE, and the library default is
+/// InterpOptions::Engine (Bytecode).
 ExecEngine engineFromEnv(ExecEngine Default = ExecEngine::Bytecode);
 
 /// Instrumentation callbacks. Addresses are VM (host) addresses; sizes in
@@ -113,14 +113,15 @@ struct InterpOptions {
   bool SimulateParallel = true;
   /// Verify every access lies in a live allocation.
   bool BoundsCheck = true;
-  CostModel Costs;
-  /// Execution engine (see ExecEngine).
-  ExecEngine Engine = ExecEngine::TreeWalk;
+  CostModel Costs{};
+  /// Execution engine (see ExecEngine). TreeWalk is the reference the
+  /// differential tests compare against.
+  ExecEngine Engine = ExecEngine::Bytecode;
   /// Optional pre-lowered bytecode for the same module, e.g. the
   /// AnalysisManager's cached per-module analysis. Used only by the
   /// Bytecode engine; when its baked-in cost table differs from Costs the
   /// interpreter silently relowers instead.
-  std::shared_ptr<const BytecodeModule> Precompiled;
+  std::shared_ptr<const BytecodeModule> Precompiled{};
   /// Runtime dependence validation for speculatively privatized loops (see
   /// Guard.h). Off charges nothing and hooks nothing; Check/Fallback consult
   /// GuardPlans but never perturb cycles, SimTime, or observer streams.
@@ -128,7 +129,7 @@ struct InterpOptions {
   /// The plans emitted by the expansion pass for this module's privatized
   /// loops (PipelineResult::Guard / AnalysisManager::guardPlans()). Loops
   /// without a plan run unguarded in every mode.
-  std::vector<std::shared_ptr<const GuardPlan>> GuardPlans;
+  std::vector<std::shared_ptr<const GuardPlan>> GuardPlans{};
   /// When set, every distinct DependenceViolation is also reported here
   /// (pass "guard", severity Error in Check mode, Warning in Fallback where
   /// the run recovered). Violations are always recorded in RunResult.
@@ -137,7 +138,7 @@ struct InterpOptions {
   /// DOACROSS watchdog, the degradation ladder, and fault injection. The
   /// default (all zero, no injector) adds no observable behavior and near-zero
   /// overhead (see bench/resilience_overhead).
-  ResilienceOptions Resilience;
+  ResilienceOptions Resilience{};
 };
 
 /// Per-loop accounting, keyed by loop id.

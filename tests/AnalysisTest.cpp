@@ -206,7 +206,7 @@ struct Planned {
 Planned planProgram(const std::string &Src, bool Privatize = true) {
   Planned P;
   P.M = parseMiniCOrDie(Src, "planner test");
-  std::vector<unsigned> Cands = findCandidateLoops(*P.M);
+  std::vector<unsigned> Cands = CompilationSession(*P.M).candidateLoops();
   EXPECT_EQ(Cands.size(), 1u);
   P.LoopId = Cands.front();
   ProfileResult PR = profileLoop(*P.M, P.LoopId);
@@ -373,13 +373,9 @@ TEST(Planner, WithoutPrivatizationEverythingIsResidual) {
 
 RunResult runParallel(const std::string &Src, int N) {
   auto M = parseMiniCOrDie(Src, "sim test");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
-  PipelineResult PR = transformLoop(*M, Cands.front());
+  PipelineResult PR = CompilationSession(*M).compileAll().front();
   EXPECT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
-  InterpOptions IO;
-  IO.NumThreads = N;
-  Interp I(*M, IO);
-  return I.run();
+  return Interp(*M, {.NumThreads = N}).run();
 }
 
 TEST(ParallelSim, BalancedDoallScalesNearLinearly) {
@@ -454,15 +450,11 @@ TEST(ParallelSim, ImbalancedDoallShowsIdleTime) {
     }
   )";
   auto M = parseMiniCOrDie(Src, "imbalance");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
-  PipelineResult PR = transformLoop(*M, Cands.front());
+  PipelineResult PR = CompilationSession(*M).compileAll().front();
   ASSERT_TRUE(PR.Ok);
-  InterpOptions IO;
-  IO.NumThreads = 4;
-  Interp I(*M, IO);
-  RunResult R = I.run();
+  RunResult R = Interp(*M, {.NumThreads = 4}).run();
   ASSERT_TRUE(R.ok());
-  const LoopStats &LS = R.Loops.at(Cands.front());
+  const LoopStats &LS = R.Loops.at(PR.LoopId);
   uint64_t Idle = 0, Work = 0;
   for (unsigned T = 0; T < LS.IdlePerThread.size(); ++T) {
     Idle += LS.IdlePerThread[T];
@@ -487,15 +479,11 @@ TEST(ParallelSim, DoacrossDispatchCostAppears) {
     }
   )";
   auto M = parseMiniCOrDie(Src, "dispatch");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
-  PipelineResult PR = transformLoop(*M, Cands.front());
+  PipelineResult PR = CompilationSession(*M).compileAll().front();
   ASSERT_TRUE(PR.Ok);
   EXPECT_EQ(PR.Plan.Kind, ParallelKind::DOACROSS);
-  InterpOptions IO;
-  IO.NumThreads = 4;
-  Interp I(*M, IO);
-  RunResult R = I.run();
-  const LoopStats &LS = R.Loops.at(Cands.front());
+  RunResult R = Interp(*M, {.NumThreads = 4}).run();
+  const LoopStats &LS = R.Loops.at(PR.LoopId);
   uint64_t Dispatch = 0;
   for (uint64_t D : LS.DispatchPerThread)
     Dispatch += D;

@@ -27,9 +27,10 @@ namespace {
 PipelineResult tryTransform(const std::string &Src,
                             PipelineOptions Opts = PipelineOptions()) {
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "diagnostics");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  CompilationSession S(*M);
+  std::vector<unsigned> Cands = S.candidateLoops();
   EXPECT_FALSE(Cands.empty());
-  return transformLoop(*M, Cands.front(), Opts);
+  return S.compileLoop(Cands.front(), Opts);
 }
 
 void expectError(const PipelineResult &R, const std::string &Substr) {
@@ -290,12 +291,9 @@ TEST(RtPrivAccounting, TranslationAndCopyCountsAreSane) {
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "rtacct");
   PipelineOptions Opts;
   Opts.Method = PrivatizationMethod::Runtime;
-  PipelineResult PR = transformLoop(*M, findCandidateLoops(*M).front(), Opts);
+  PipelineResult PR = CompilationSession(*M).compileAll(Opts).front();
   ASSERT_TRUE(PR.Ok);
-  InterpOptions IO;
-  IO.NumThreads = 4;
-  Interp I(*M, IO);
-  RunResult R = I.run();
+  RunResult R = Interp(*M, {.NumThreads = 4}).run();
   ASSERT_TRUE(R.ok()) << R.TrapMessage;
   // 10 iterations x 64 private accesses: one translation per access.
   EXPECT_EQ(R.RtPrivTranslations, 10u * 64u);
@@ -325,12 +323,9 @@ TEST(RtPrivAccounting, ShadowsReleasedAtLoopEnd) {
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "rtshadow");
   PipelineOptions Opts;
   Opts.Method = PrivatizationMethod::Runtime;
-  PipelineResult PR = transformLoop(*M, findCandidateLoops(*M).front(), Opts);
+  PipelineResult PR = CompilationSession(*M).compileAll(Opts).front();
   ASSERT_TRUE(PR.Ok);
-  InterpOptions IO;
-  IO.NumThreads = 8;
-  Interp I(*M, IO);
-  RunResult R = I.run();
+  RunResult R = Interp(*M, {.NumThreads = 8}).run();
   ASSERT_TRUE(R.ok()) << R.TrapMessage;
   // 8 shadows of 256 bytes live at once, not 4 invocations x 8.
   EXPECT_LT(R.PeakMemoryBytes, 8u * 256u + 4096u);

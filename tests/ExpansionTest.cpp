@@ -43,20 +43,18 @@ E2EResult runEndToEnd(const std::string &Src, int Threads,
   // Transform + parallel run.
   {
     std::unique_ptr<Module> M = parseMiniCOrDie(Src, "e2e transformed");
-    std::vector<unsigned> Candidates = findCandidateLoops(*M);
+    CompilationSession S(*M);
+    std::vector<unsigned> Candidates = S.candidateLoops();
     EXPECT_FALSE(Candidates.empty()) << "no @candidate loop";
     if (Candidates.empty())
       return R;
-    R.Pipeline = transformLoop(*M, Candidates.front(), Opts);
+    R.Pipeline = S.compileLoop(Candidates.front(), Opts);
     for (const std::string &E : R.Pipeline.Errors)
       ADD_FAILURE() << "pipeline error: " << E;
     if (!R.Pipeline.Ok)
       return R;
     R.TransformedIR = printModule(*M);
-    InterpOptions IO;
-    IO.NumThreads = Threads;
-    Interp I(*M, IO);
-    R.Transformed = I.run();
+    R.Transformed = Interp(*M, {.NumThreads = Threads}).run();
   }
   return R;
 }
@@ -390,9 +388,10 @@ TEST(Expansion, InterleavedLayoutRejectsRecast) {
     }
   )";
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "interleaved recast");
-  std::vector<unsigned> Candidates = findCandidateLoops(*M);
+  CompilationSession S(*M);
+  std::vector<unsigned> Candidates = S.candidateLoops();
   ASSERT_FALSE(Candidates.empty());
-  PipelineResult PR = transformLoop(*M, Candidates.front(), Opts);
+  PipelineResult PR = S.compileLoop(Candidates.front(), Opts);
   EXPECT_FALSE(PR.Ok);
   bool FoundRecastError = false;
   for (const std::string &E : PR.Errors)

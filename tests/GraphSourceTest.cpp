@@ -44,8 +44,8 @@ const char *ZptrSrc = R"(
 
 LoopDepGraph profiledZptrGraph(std::unique_ptr<Module> &M) {
   M = parseMiniCOrDie(ZptrSrc, "graph source test");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
-  ProfileResult PR = profileLoop(*M, Cands.front());
+  ProfileResult PR =
+      profileLoop(*M, CompilationSession(*M).candidateLoops().front());
   return std::move(PR.Graph);
 }
 
@@ -133,11 +133,10 @@ TEST(GraphIO, ExternalGraphDrivesPipeline) {
   ASSERT_TRUE(parseDepGraph(Text, Loaded, Err)) << Err;
 
   std::unique_ptr<Module> M = parseMiniCOrDie(ZptrSrc, "external");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
   PipelineOptions Opts;
   Opts.Source = GraphSource::External;
   Opts.ExternalGraph = &Loaded;
-  PipelineResult PR = transformLoop(*M, Cands.front(), Opts);
+  PipelineResult PR = CompilationSession(*M).compileAll(Opts).front();
   ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
   // The commutative tier claims the `check` reduction regardless of graph
   // source (it is a static proof), so the loop is DOALL here just as it is
@@ -152,22 +151,20 @@ TEST(GraphIO, ExternalGraphDrivesPipeline) {
     Interp I(*MO);
     Seq = I.run();
   }
-  InterpOptions IO;
-  IO.NumThreads = 4;
-  Interp I(*M, IO);
-  RunResult Par = I.run();
+  RunResult Par = Interp(*M, {.NumThreads = 4}).run();
   EXPECT_EQ(Par.Output, Seq.Output);
 }
 
 TEST(GraphIO, ExternalGraphLoopMismatchRejected) {
   std::unique_ptr<Module> M = parseMiniCOrDie(ZptrSrc, "mismatch");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  CompilationSession S(*M);
+  std::vector<unsigned> Cands = S.candidateLoops();
   LoopDepGraph Wrong;
   Wrong.LoopId = Cands.front() + 17;
   PipelineOptions Opts;
   Opts.Source = GraphSource::External;
   Opts.ExternalGraph = &Wrong;
-  PipelineResult PR = transformLoop(*M, Cands.front(), Opts);
+  PipelineResult PR = S.compileLoop(Cands.front(), Opts);
   EXPECT_FALSE(PR.Ok);
 }
 
@@ -227,7 +224,7 @@ TEST(StaticDeps, FreshPerIterationHeapStillRecognized) {
     }
   )";
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "fresh");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   AccessNumbering Num = AccessNumbering::compute(*M);
   PointsTo PT = PointsTo::compute(*M);
   LoopDepGraph Static = buildStaticDepGraph(*M, Cands.front(), PT, Num);
@@ -249,20 +246,16 @@ TEST(StaticDeps, PipelineWithStaticSourceStaysCorrectButSlow) {
     Seq = I.run();
   }
   std::unique_ptr<Module> M = parseMiniCOrDie(ZptrSrc, "static");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
   PipelineOptions Opts;
   Opts.Source = GraphSource::Static;
   // This test exercises the conservative static-graph serialization path;
   // the commutative tier would otherwise still claim the `check` reduction
   // (it is a static proof, independent of the dependence-graph source).
   Opts.Expansion.CommutativePrivatization = false;
-  PipelineResult PR = transformLoop(*M, Cands.front(), Opts);
+  PipelineResult PR = CompilationSession(*M).compileAll(Opts).front();
   ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
   EXPECT_EQ(PR.Expansion.ExpandedObjects, 0u); // nothing privatizable
-  InterpOptions IO;
-  IO.NumThreads = 8;
-  Interp I(*M, IO);
-  RunResult Par = I.run();
+  RunResult Par = Interp(*M, {.NumThreads = 8}).run();
   ASSERT_TRUE(Par.ok()) << Par.TrapMessage;
   EXPECT_EQ(Par.Output, Seq.Output);
   // No meaningful speedup: the ordered chain serializes the loop.

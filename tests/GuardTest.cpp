@@ -75,7 +75,7 @@ struct Transformed {
 /// Profiles \p Src's (single) candidate loop and returns the true graph.
 LoopDepGraph profiled(const char *Src, unsigned &LoopId) {
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "guard profile");
-  LoopId = findCandidateLoops(*M).front();
+  LoopId = CompilationSession(*M).candidateLoops().front();
   return std::move(profileLoop(*M, LoopId).Graph);
 }
 
@@ -85,7 +85,8 @@ LoopDepGraph profiled(const char *Src, unsigned &LoopId) {
 Transformed transformWith(const char *Src, const LoopDepGraph &G) {
   Transformed T;
   T.M = parseMiniCOrDie(Src, "guard transform");
-  T.LoopId = findCandidateLoops(*T.M).front();
+  CompilationSession S(*T.M);
+  T.LoopId = S.candidateLoops().front();
   PipelineOptions Opts;
   Opts.Source = GraphSource::External;
   Opts.ExternalGraph = &G;
@@ -94,13 +95,13 @@ Transformed transformWith(const char *Src, const LoopDepGraph &G) {
   // fault would go unvalidated. (WitnessPrunedCleanRunBitIdentical covers
   // the pruned path.)
   Opts.Expansion.GuardPruning = false;
-  T.PR = transformLoop(*T.M, T.LoopId, Opts);
+  T.PR = S.compileLoop(T.LoopId, Opts);
   return T;
 }
 
 RunResult runSerial(const char *Src) {
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "guard serial ref");
-  Interp I(*M);
+  Interp I(*M, {.Engine = ExecEngine::TreeWalk});
   return I.run();
 }
 
@@ -580,11 +581,12 @@ TEST_P(GuardFault, WitnessPrunedCleanRunBitIdentical) {
 
   Transformed Pruned;
   Pruned.M = parseMiniCOrDie(ProvableSrc, "guard pruned");
-  Pruned.LoopId = findCandidateLoops(*Pruned.M).front();
+  CompilationSession S(*Pruned.M);
+  Pruned.LoopId = S.candidateLoops().front();
   PipelineOptions Opts;
   Opts.Source = GraphSource::External;
   Opts.ExternalGraph = &True;
-  Pruned.PR = transformLoop(*Pruned.M, Pruned.LoopId, Opts);
+  Pruned.PR = S.compileLoop(Pruned.LoopId, Opts);
   ASSERT_TRUE(Pruned.PR.Ok)
       << (Pruned.PR.Errors.empty() ? "?" : Pruned.PR.Errors.front());
   EXPECT_TRUE(!Pruned.PR.Guard || Pruned.PR.Guard->empty());

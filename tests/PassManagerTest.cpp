@@ -8,8 +8,8 @@
 // The compilation-session contracts: analyses are cached and re-served
 // (profiler runs at most once per (loop, graph source)), transform passes
 // invalidate exactly what they clobber, batch sessions compile several
-// loops off shared analyses, and the session matches the legacy one-shot
-// transformLoop bit for bit.
+// loops off shared analyses, and only the caller's options (never the
+// environment) decide how the session profiles and what it audits.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +19,12 @@
 #include "interp/Bytecode.h"
 #include "interp/Interp.h"
 #include "ir/IRPrinter.h"
+#include "profile/DepProfiler.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <thread>
@@ -188,22 +190,6 @@ TEST(BatchCompilation, TwoLoopsOneSessionProfilesOncePerLoop) {
   ASSERT_TRUE(Par.ok()) << Par.TrapMessage;
   EXPECT_EQ(Par.Output, Seq.Output);
   EXPECT_LT(Par.SimTime, Seq.SimTime);
-}
-
-TEST(BatchCompilation, SessionMatchesLegacyTransformLoop) {
-  std::unique_ptr<Module> MLegacy = parseMiniCOrDie(OneLoop, "legacy");
-  PipelineResult RL = transformLoop(*MLegacy, findCandidateLoops(*MLegacy).front());
-
-  std::unique_ptr<Module> MSession = parseMiniCOrDie(OneLoop, "session");
-  CompilationSession S(*MSession);
-  PipelineResult RS = S.compileLoop(S.candidateLoops().front());
-
-  ASSERT_TRUE(RL.Ok);
-  ASSERT_TRUE(RS.Ok);
-  EXPECT_EQ(RS.Expansion.ExpandedObjects, RL.Expansion.ExpandedObjects);
-  EXPECT_EQ(RS.Plan.Kind, RL.Plan.Kind);
-  EXPECT_EQ(RS.PrivateAccesses, RL.PrivateAccesses);
-  EXPECT_EQ(printModule(*MSession), printModule(*MLegacy));
 }
 
 TEST(AnalysisCache, NegativeEntriesTravelTheInvalidationPath) {
@@ -376,7 +362,7 @@ TEST(BatchCompilation, SameModuleUnitsSerializeAndShareOneSession) {
   AnalysisStats RefStats = SRef.analysisStats();
 
   std::unique_ptr<Module> M = parseMiniCOrDie(TwoLoops, "split");
-  std::vector<unsigned> Loops = findCandidateLoops(*M);
+  std::vector<unsigned> Loops = CompilationSession(*M).candidateLoops();
   ASSERT_EQ(Loops.size(), 2u);
   std::vector<BatchUnit> Units(2);
   Units[0].M = M.get();
@@ -493,37 +479,90 @@ TEST(AnalysisCache, BytecodeDroppedByLoopInvalidation) {
 }
 
 TEST(AnalysisCache, ProfilingSharesTheSessionBytecode) {
-  // The profile path consults GDSE_ENGINE; pin it for a deterministic test.
-  ::setenv("GDSE_ENGINE", "bytecode", 1);
-  std::unique_ptr<Module> M = parseMiniCOrDie(TwoLoops, "bytecode-profile");
-  CompilationSession S(*M);
-  std::vector<unsigned> Loops = S.candidateLoops();
-  ASSERT_EQ(Loops.size(), 2u);
+  // The profile runs on the session's one lowering whatever GDSE_ENGINE
+  // says: the profile path reads no environment variable.
+  for (const char *Engine : {static_cast<const char *>(nullptr), "tree",
+                             "threads"}) {
+    SCOPED_TRACE(Engine ? Engine : "unset");
+    Engine ? ::setenv("GDSE_ENGINE", Engine, 1) : ::unsetenv("GDSE_ENGINE");
+    std::unique_ptr<Module> M = parseMiniCOrDie(TwoLoops, "bytecode-profile");
+    CompilationSession S(*M);
+    std::vector<unsigned> Loops = S.candidateLoops();
+    ASSERT_EQ(Loops.size(), 2u);
 
-  // Two profiling runs (one per loop) against one shared lowering.
-  ASSERT_NE(S.analyses().depGraph(Loops[0], GraphSource::Profile), nullptr);
-  ASSERT_NE(S.analyses().depGraph(Loops[1], GraphSource::Profile), nullptr);
-  EXPECT_EQ(S.analysisStats().ProfileRuns, 2u);
-  EXPECT_EQ(S.analysisStats().BytecodeLowerings, 1u);
+    // Two profiling runs (one per loop) against one shared lowering.
+    ASSERT_NE(S.analyses().depGraph(Loops[0], GraphSource::Profile), nullptr);
+    ASSERT_NE(S.analyses().depGraph(Loops[1], GraphSource::Profile), nullptr);
+    EXPECT_EQ(S.analysisStats().ProfileRuns, 2u);
+    EXPECT_EQ(S.analysisStats().BytecodeLowerings, 1u);
+  }
   ::unsetenv("GDSE_ENGINE");
 }
 
 TEST(AnalysisCache, ProfileGraphIdenticalUnderBothEngines) {
   // The graph the profiler builds must not depend on the engine: same
-  // events, same order. Compare the serialized graphs.
-  auto ProfileWith = [](const char *Engine) {
-    ::setenv("GDSE_ENGINE", Engine, 1);
-    std::unique_ptr<Module> M = parseMiniCOrDie(OneLoop, "engine-graph");
-    CompilationSession S(*M);
-    unsigned Loop = S.candidateLoops().front();
-    const LoopDepGraph *G = S.analyses().depGraph(Loop, GraphSource::Profile);
-    EXPECT_NE(G, nullptr);
-    ::unsetenv("GDSE_ENGINE");
-    return G ? *G : LoopDepGraph();
+  // events, same order. The session's graph (bytecode) must equal what a
+  // DepProfiler sees on each engine.
+  std::unique_ptr<Module> M = parseMiniCOrDie(OneLoop, "engine-graph");
+  CompilationSession S(*M);
+  unsigned Loop = S.candidateLoops().front();
+  auto ProfileOn = [&](ExecEngine E) {
+    InterpOptions IO;
+    IO.Engine = E;
+    IO.SimulateParallel = false;
+    DepProfiler P(Loop);
+    Interp I(*M, IO);
+    I.setObserver(&P);
+    EXPECT_TRUE(I.run().ok());
+    return serializeDepGraph(P.takeGraph());
   };
-  LoopDepGraph Tree = ProfileWith("tree");
-  LoopDepGraph Byte = ProfileWith("bytecode");
-  EXPECT_EQ(serializeDepGraph(Tree), serializeDepGraph(Byte));
+  const LoopDepGraph *G = S.analyses().depGraph(Loop, GraphSource::Profile);
+  ASSERT_NE(G, nullptr);
+  EXPECT_EQ(ProfileOn(ExecEngine::TreeWalk), serializeDepGraph(*G));
+  EXPECT_EQ(ProfileOn(ExecEngine::Bytecode), serializeDepGraph(*G));
+}
+
+TEST(AnalysisCache, AuditRunsOnlyWhenTheOptionsAskForIt) {
+  // GDSE_AUDIT_DEPS is minic's to map onto PipelineOptions::AuditDeps.
+  ::setenv("GDSE_AUDIT_DEPS", "1", 1);
+  for (bool Audit : {false, true}) {
+    std::unique_ptr<Module> M = parseMiniCOrDie(OneLoop, "audit");
+    PipelineOptions Opts;
+    Opts.AuditDeps = Audit;
+    PipelineResult PR = CompilationSession(*M).compileAll(Opts).front();
+    ASSERT_TRUE(PR.Ok);
+    EXPECT_EQ(PR.AuditChecked > 0, Audit);
+  }
+  ::unsetenv("GDSE_AUDIT_DEPS");
+}
+
+//===----------------------------------------------------------------------===//
+// Loop ids: the loops compilation synthesizes (commutative helpers) carry
+// ids at once, the ones a later renumbering gives them.
+//===----------------------------------------------------------------------===//
+
+TEST(AnalysisCache, CompiledLoopIdsAgreeAcrossLowerings) {
+  for (const char *Name : {"histogram", "dijkstra"}) {
+    SCOPED_TRACE(Name);
+    std::unique_ptr<Module> M =
+        parseMiniCOrDie(findWorkload(Name)->Source, Name);
+    CompilationSession S(*M);
+    for (const PipelineResult &PR : S.compileAll())
+      ASSERT_TRUE(PR.Ok);
+    auto LoopIds = [&](std::shared_ptr<const BytecodeModule> BC) {
+      RunResult R = Interp(*M, {.Precompiled = std::move(BC)}).run();
+      EXPECT_TRUE(R.ok()) << R.TrapMessage;
+      std::vector<unsigned> Ids;
+      for (const auto &[Id, L] : R.Loops)
+        Ids.push_back(Id);
+      return Ids;
+    };
+    // A lowering of the module as compileLoop left it, then the session's
+    // (which renumbers first).
+    std::vector<unsigned> Fresh = LoopIds(lowerToBytecode(*M, CostModel()));
+    EXPECT_EQ(Fresh, LoopIds(S.analyses().bytecode()));
+    EXPECT_EQ(std::count(Fresh.begin(), Fresh.end(), 0u), 0);
+  }
 }
 
 //===----------------------------------------------------------------------===//

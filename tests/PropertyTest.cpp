@@ -269,12 +269,8 @@ TEST_P(PipelineProperty, TransformedEquivalentForAllConfigs) {
 
   ParseResult PR = parseMiniC(G.Source);
   ASSERT_TRUE(PR.ok()) << (PR.Errors.empty() ? "?" : PR.Errors.front());
-  RunResult Seq;
-  {
-    Interp I(*PR.M);
-    Seq = I.run();
-    ASSERT_TRUE(Seq.ok()) << Seq.TrapMessage;
-  }
+  RunResult Seq = Interp(*PR.M, {.Engine = ExecEngine::TreeWalk}).run();
+  ASSERT_TRUE(Seq.ok()) << Seq.TrapMessage;
 
   struct Config {
     PrivatizationMethod Method;
@@ -290,7 +286,8 @@ TEST_P(PipelineProperty, TransformedEquivalentForAllConfigs) {
   for (const Config &C : Configs) {
     ParseResult P2 = parseMiniC(G.Source);
     ASSERT_TRUE(P2.ok());
-    std::vector<unsigned> Cands = findCandidateLoops(*P2.M);
+    CompilationSession S(*P2.M);
+    std::vector<unsigned> Cands = S.candidateLoops();
     ASSERT_EQ(Cands.size(), 1u);
     PipelineOptions Opts;
     Opts.Method = C.Method;
@@ -299,14 +296,11 @@ TEST_P(PipelineProperty, TransformedEquivalentForAllConfigs) {
       Opts.Expansion.SpanConstantPropagation = false;
       Opts.Expansion.DeadSpanStoreElimination = false;
     }
-    PipelineResult R = transformLoop(*P2.M, Cands.front(), Opts);
+    PipelineResult R = S.compileLoop(Cands.front(), Opts);
     ASSERT_TRUE(R.Ok) << C.Name << ": "
                       << (R.Errors.empty() ? "?" : R.Errors.front());
     for (int N : {1, 3, 8}) {
-      InterpOptions IO;
-      IO.NumThreads = N;
-      Interp I(*P2.M, IO);
-      RunResult Par = I.run();
+      RunResult Par = Interp(*P2.M, {.NumThreads = N}).run();
       ASSERT_TRUE(Par.ok())
           << C.Name << " N=" << N << ": " << Par.TrapMessage;
       EXPECT_EQ(Par.Output, Seq.Output) << C.Name << " N=" << N;
@@ -318,17 +312,13 @@ TEST_P(PipelineProperty, TransformedEquivalentForAllConfigs) {
   {
     ParseResult P3 = parseMiniC(G.Source);
     ASSERT_TRUE(P3.ok());
-    std::vector<unsigned> Cands = findCandidateLoops(*P3.M);
     PipelineOptions Opts;
     Opts.Expansion.Layout = LayoutMode::Interleaved;
-    PipelineResult R = transformLoop(*P3.M, Cands.front(), Opts);
+    PipelineResult R = CompilationSession(*P3.M).compileAll(Opts).front();
     if (G.HasRecast) {
       EXPECT_FALSE(R.Ok) << "recast program must be rejected by interleaved";
     } else if (R.Ok) {
-      InterpOptions IO;
-      IO.NumThreads = 4;
-      Interp I(*P3.M, IO);
-      RunResult Par = I.run();
+      RunResult Par = Interp(*P3.M, {.NumThreads = 4}).run();
       ASSERT_TRUE(Par.ok()) << "interleaved: " << Par.TrapMessage;
       EXPECT_EQ(Par.Output, Seq.Output) << "interleaved";
     }
@@ -505,27 +495,20 @@ TEST_P(ReductionProperty, MergeOrderDeterministic) {
 
   ParseResult PR = parseMiniC(G.Source);
   ASSERT_TRUE(PR.ok()) << (PR.Errors.empty() ? "?" : PR.Errors.front());
-  RunResult Seq;
-  {
-    Interp I(*PR.M);
-    Seq = I.run();
-    ASSERT_TRUE(Seq.ok()) << Seq.TrapMessage;
-  }
+  RunResult Seq = Interp(*PR.M, {.Engine = ExecEngine::TreeWalk}).run();
+  ASSERT_TRUE(Seq.ok()) << Seq.TrapMessage;
 
   ParseResult P2 = parseMiniC(G.Source);
   ASSERT_TRUE(P2.ok());
-  std::vector<unsigned> Cands = findCandidateLoops(*P2.M);
-  ASSERT_EQ(Cands.size(), 1u);
-  PipelineResult R = transformLoop(*P2.M, Cands.front());
+  std::vector<PipelineResult> Rs = CompilationSession(*P2.M).compileAll();
+  ASSERT_EQ(Rs.size(), 1u);
+  const PipelineResult &R = Rs.front();
   ASSERT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
   ASSERT_GE(R.Expansion.CommutativeClasses, 1u);
   EXPECT_EQ(R.Plan.Kind, ParallelKind::DOALL);
 
   for (int N : {1, 3, 8}) {
-    InterpOptions IO;
-    IO.NumThreads = N;
-    Interp I(*P2.M, IO);
-    RunResult Par = I.run();
+    RunResult Par = Interp(*P2.M, {.NumThreads = N}).run();
     ASSERT_TRUE(Par.ok()) << "N=" << N << ": " << Par.TrapMessage;
     EXPECT_EQ(Par.Output, Seq.Output) << "N=" << N;
   }
@@ -571,18 +554,14 @@ TEST_P(ResilienceProperty, RandomFaultsNeverCorruptOrHang) {
 
   ParseResult PR = parseMiniC(G.Source);
   ASSERT_TRUE(PR.ok()) << (PR.Errors.empty() ? "?" : PR.Errors.front());
-  RunResult Seq;
-  {
-    Interp I(*PR.M);
-    Seq = I.run();
-    ASSERT_TRUE(Seq.ok()) << Seq.TrapMessage;
-  }
+  RunResult Seq = Interp(*PR.M, {.Engine = ExecEngine::TreeWalk}).run();
+  ASSERT_TRUE(Seq.ok()) << Seq.TrapMessage;
 
   ParseResult P2 = parseMiniC(G.Source);
   ASSERT_TRUE(P2.ok());
-  std::vector<unsigned> Cands = findCandidateLoops(*P2.M);
-  ASSERT_EQ(Cands.size(), 1u);
-  PipelineResult R = transformLoop(*P2.M, Cands.front());
+  std::vector<PipelineResult> Rs = CompilationSession(*P2.M).compileAll();
+  ASSERT_EQ(Rs.size(), 1u);
+  const PipelineResult &R = Rs.front();
   ASSERT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
 
   // One injection point per seed, cycling through all four; probabilistic

@@ -146,7 +146,8 @@ int main() {
 std::unique_ptr<Module> transformed(const char *Src, ParallelKind Expect) {
   ParseResult PR = parseMiniC(Src);
   EXPECT_TRUE(PR.ok());
-  std::vector<unsigned> Cands = findCandidateLoops(*PR.M);
+  CompilationSession S(*PR.M);
+  std::vector<unsigned> Cands = S.candidateLoops();
   EXPECT_EQ(Cands.size(), 1u);
   PipelineOptions Opts;
   if (Expect == ParallelKind::DOACROSS) {
@@ -155,11 +156,12 @@ std::unique_ptr<Module> transformed(const char *Src, ParallelKind Expect) {
     // cross-iteration tickets.
     Opts.Source = GraphSource::Static;
   }
-  PipelineResult R = transformLoop(*PR.M, Cands.front(), Opts);
+  PipelineResult R = S.compileLoop(Cands.front(), Opts);
   EXPECT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
   EXPECT_EQ(R.Plan.Kind, Expect);
-  if (Expect == ParallelKind::DOACROSS)
+  if (Expect == ParallelKind::DOACROSS) {
     EXPECT_GE(R.Plan.OrderedRegions, 1u);
+  }
   return std::move(PR.M);
 }
 
@@ -400,7 +402,7 @@ TEST_P(ResilienceThreads, WatchdogWithLadderOffTrapsAsEngineFault) {
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ResilienceThreads,
                          ::testing::Values(1, 2, 4),
                          [](const ::testing::TestParamInfo<int> &I) {
-                           return "N" + std::to_string(I.param);
+                           return std::to_string(I.param).insert(0, 1, 'N');
                          });
 
 //===----------------------------------------------------------------------===//
@@ -507,19 +509,15 @@ int main() {
 })";
   ParseResult PR = parseMiniC(GuardSrc);
   ASSERT_TRUE(PR.ok());
-  RunResult Seq;
-  {
-    Interp I(*PR.M);
-    Seq = I.run();
-    ASSERT_TRUE(Seq.ok()) << Seq.TrapMessage;
-  }
+  RunResult Seq = Interp(*PR.M, {.Engine = ExecEngine::TreeWalk}).run();
+  ASSERT_TRUE(Seq.ok()) << Seq.TrapMessage;
   ParseResult P2 = parseMiniC(GuardSrc);
   ASSERT_TRUE(P2.ok());
-  std::vector<unsigned> Cands = findCandidateLoops(*P2.M);
-  ASSERT_EQ(Cands.size(), 1u);
   PipelineOptions Opts;
   Opts.Expansion.GuardPruning = false; // keep the full plan armed
-  PipelineResult R = transformLoop(*P2.M, Cands.front(), Opts);
+  std::vector<PipelineResult> Rs = CompilationSession(*P2.M).compileAll(Opts);
+  ASSERT_EQ(Rs.size(), 1u);
+  const PipelineResult &R = Rs.front();
   ASSERT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
   ASSERT_NE(R.Guard, nullptr);
 

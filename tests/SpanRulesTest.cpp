@@ -26,9 +26,9 @@ namespace {
 std::string transformed(const std::string &Src,
                         PipelineOptions Opts = PipelineOptions()) {
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "span rules");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
-  EXPECT_EQ(Cands.size(), 1u);
-  PipelineResult PR = transformLoop(*M, Cands.front(), Opts);
+  std::vector<PipelineResult> Rs = CompilationSession(*M).compileAll(Opts);
+  EXPECT_EQ(Rs.size(), 1u);
+  const PipelineResult &PR = Rs.front();
   EXPECT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
   if (!PR.Ok)
     return "";
@@ -341,12 +341,9 @@ void expectParallelEquivalent(const char *Src, unsigned Threads) {
   RunResult Seq = IO.run();
   ASSERT_TRUE(Seq.ok()) << Seq.TrapMessage;
   std::unique_ptr<Module> MT = parseMiniCOrDie(Src, "xform");
-  PipelineResult PR = transformLoop(*MT, findCandidateLoops(*MT).front());
+  PipelineResult PR = CompilationSession(*MT).compileAll().front();
   ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
-  InterpOptions Opt;
-  Opt.NumThreads = Threads;
-  Interp IT(*MT, Opt);
-  RunResult Par = IT.run();
+  RunResult Par = Interp(*MT, {.NumThreads = static_cast<int>(Threads)}).run();
   ASSERT_TRUE(Par.ok()) << Par.TrapMessage;
   EXPECT_EQ(Par.Output, Seq.Output) << "at " << Threads << " threads";
 }
@@ -525,12 +522,9 @@ TEST(Promotion, RecursiveStructPromotion) {
   Interp IO(*MO);
   RunResult Seq = IO.run();
   std::unique_ptr<Module> MT = parseMiniCOrDie(Src, "xform");
-  PipelineResult PR = transformLoop(*MT, findCandidateLoops(*MT).front());
+  PipelineResult PR = CompilationSession(*MT).compileAll().front();
   ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
-  InterpOptions Opt;
-  Opt.NumThreads = 4;
-  Interp IT(*MT, Opt);
-  RunResult Par = IT.run();
+  RunResult Par = Interp(*MT, {.NumThreads = 4}).run();
   ASSERT_TRUE(Par.ok()) << Par.TrapMessage;
   EXPECT_EQ(Par.Output, Seq.Output);
 }

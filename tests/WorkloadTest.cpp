@@ -48,22 +48,17 @@ TEST_P(WorkloadEquivalence, TransformedMatchesOriginal) {
   }
 
   std::unique_ptr<Module> M = parseMiniCOrDie(W->Source, W->Name);
-  std::vector<unsigned> Candidates = findCandidateLoops(*M);
-  ASSERT_EQ(Candidates.size(), W->NumCandidates) << W->Name;
-
-  for (unsigned LoopId : Candidates) {
-    PipelineResult PR = transformLoop(*M, LoopId);
+  std::vector<PipelineResult> Results = CompilationSession(*M).compileAll();
+  for (const PipelineResult &PR : Results) {
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
                        << (PR.Errors.empty() ? "?" : PR.Errors.front());
     EXPECT_TRUE(PR.Plan.Parallelized) << W->Name;
     EXPECT_EQ(PR.Plan.Kind, W->ExpectedKind) << W->Name;
     EXPECT_GE(PR.Expansion.ExpandedObjects, 1u) << W->Name;
   }
+  ASSERT_EQ(Results.size(), W->NumCandidates) << W->Name;
 
-  InterpOptions IO;
-  IO.NumThreads = Threads;
-  Interp I(*M, IO);
-  RunResult Transformed = I.run();
+  RunResult Transformed = Interp(*M, {.NumThreads = Threads}).run();
   ASSERT_TRUE(Transformed.ok()) << W->Name << ": " << Transformed.TrapMessage;
   EXPECT_EQ(Original.Output, Transformed.Output) << W->Name;
   EXPECT_EQ(Original.ExitCode, Transformed.ExitCode) << W->Name;
@@ -112,18 +107,13 @@ TEST_P(WorkloadRtPriv, RtPrivMatchesOriginal) {
   }
 
   std::unique_ptr<Module> M = parseMiniCOrDie(W->Source, W->Name);
-  std::vector<unsigned> Candidates = findCandidateLoops(*M);
   PipelineOptions Opts;
   Opts.Method = PrivatizationMethod::Runtime;
-  for (unsigned LoopId : Candidates) {
-    PipelineResult PR = transformLoop(*M, LoopId, Opts);
+  for (const PipelineResult &PR : CompilationSession(*M).compileAll(Opts)) {
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
                        << (PR.Errors.empty() ? "?" : PR.Errors.front());
   }
-  InterpOptions IO;
-  IO.NumThreads = 4;
-  Interp I(*M, IO);
-  RunResult Transformed = I.run();
+  RunResult Transformed = Interp(*M, {.NumThreads = 4}).run();
   ASSERT_TRUE(Transformed.ok()) << W->Name << ": " << Transformed.TrapMessage;
   EXPECT_EQ(Original.Output, Transformed.Output) << W->Name;
   EXPECT_GT(Transformed.RtPrivTranslations, 0u) << W->Name;
