@@ -414,7 +414,7 @@ private:
         break;
 
       case BCOp::CallGuard:
-        if (S.CallDepth > 4000) {
+        if (S.CallDepth > ExecState::MaxCallDepth) {
           // The tree-walker traps *before* charging Call; back it out.
           if (I.Kind & 1)
             S.Cycles -= S.Opts.Costs.Call;

@@ -179,6 +179,9 @@ struct ThreadState {
   int64_t ExitCode = 0;
   VMValue ReturnValue;
   std::string Output;
+  /// Calls deeper than MaxCallDepth trap with "call stack overflow" on
+  /// every engine, at the same depth.
+  static constexpr unsigned MaxCallDepth = 4000;
   unsigned CallDepth = 0;
 
   /// Innermost-first stack of active counted loops, for trap attribution.

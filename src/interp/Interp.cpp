@@ -25,9 +25,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
+
+#include <pthread.h>
 
 using namespace gdse;
 
@@ -55,6 +59,50 @@ ExecEngine gdse::engineFromEnv(ExecEngine Default) {
 }
 
 namespace {
+/// Host stack a run is given per MiniC call level. One level is a few
+/// evalCall -> execStmt -> evalExpr frames of the tree-walker, or a
+/// callFunction -> dispatch pair of the bytecode VM. Under ASan in a Debug
+/// build either takes 2-4 KiB for a one-line recursive function, so
+/// ExecState::MaxCallDepth levels overflow a default 8 MiB stack; deeper
+/// statement nesting at the call site takes more. The stack is reserved,
+/// not committed: only the levels a run reaches cost memory.
+constexpr size_t StackPerCallLevel = 64 * 1024;
+
+/// Runs \p Fn on a new thread with a \p StackBytes stack and waits for it;
+/// an exception \p Fn throws is rethrown here. Runs \p Fn on the calling
+/// thread when no such thread can be started.
+void runOnStack(size_t StackBytes, const std::function<void()> &Fn) {
+  struct Job {
+    const std::function<void()> *Fn;
+    std::exception_ptr Error;
+  } J{&Fn, nullptr};
+  auto Entry = [](void *Arg) -> void * {
+    auto *J = static_cast<Job *>(Arg);
+    try {
+      (*J->Fn)();
+    } catch (...) {
+      J->Error = std::current_exception();
+    }
+    return nullptr;
+  };
+  pthread_attr_t Attr;
+  if (pthread_attr_init(&Attr) != 0) {
+    Fn();
+    return;
+  }
+  pthread_t T;
+  bool Started = pthread_attr_setstacksize(&Attr, StackBytes) == 0 &&
+                 pthread_create(&T, &Attr, Entry, &J) == 0;
+  pthread_attr_destroy(&Attr);
+  if (!Started) {
+    Fn();
+    return;
+  }
+  pthread_join(T, nullptr);
+  if (J.Error)
+    std::rethrow_exception(J.Error);
+}
+
 /// Owns the shared ProgramContext. A base class rather than a member so it is
 /// fully constructed before the ThreadState base that holds references into
 /// it.
@@ -436,7 +484,7 @@ struct Interp::Impl : ContextHolder, ExecState {
     if (C->isBuiltin())
       return evalBuiltin(C);
 
-    if (CallDepth > 4000) {
+    if (CallDepth > MaxCallDepth) {
       trap("call stack overflow");
       return Value();
     }
@@ -665,18 +713,28 @@ struct Interp::Impl : ContextHolder, ExecState {
       return R;
     }
 
-    if (Opts.Engine == ExecEngine::Bytecode ||
-        Opts.Engine == ExecEngine::Threads) {
-      // Lower lazily; a precompiled module is usable only if it was built
-      // against the exact cost table of this run. The Threads engine is the
-      // bytecode evaluator plus host-threaded parallel loops — only the
-      // bytecode VM supplies the worker hooks (ThreadLoopHooks).
-      if (!BC || !(BC->Costs == Opts.Costs))
-        BC = lowerToBytecode(M, Opts.Costs);
-      runBytecodeEntry(*this, *BC, F);
-    } else {
-      invokeEntry(F);
-    }
+    // The Threads engine is the bytecode evaluator plus host-threaded
+    // parallel loops — only the bytecode VM supplies the worker hooks
+    // (ThreadLoopHooks).
+    bool OnBytecode = Opts.Engine != ExecEngine::TreeWalk;
+    // Lower lazily; a precompiled module is usable only if it was built
+    // against the exact cost table of this run.
+    if (OnBytecode && (!BC || !(BC->Costs == Opts.Costs)))
+      BC = lowerToBytecode(M, Opts.Costs);
+    auto Evaluate = [this, F, OnBytecode] {
+      if (OnBytecode)
+        runBytecodeEntry(*this, *BC, F);
+      else
+        invokeEntry(F);
+    };
+    // Both evaluators recurse on the host stack once per MiniC call. A
+    // program that can nest calls deeply runs on a stack sized for the
+    // call-depth cap. The others stay on this thread: a thread per run made
+    // short runs measurably slower on a loaded host.
+    if (PC.DeepCalls)
+      runOnStack(StackPerCallLevel * (MaxCallDepth + 1), Evaluate);
+    else
+      Evaluate();
 
     R.Trapped = Trapped;
     R.TrapMessage = TrapMessage;

@@ -241,6 +241,9 @@ ProgramContext::ProgramContext(Module &M, InterpOptions O)
   }
   // Fold every loop body's direct callees through the call graph.
   Scan.close();
+  for (const auto &[Fn, Facts] : Scan.Closures)
+    DeepCalls |= Facts.Callees.count(Fn) != 0; // Fn reaches itself
+  DeepCalls |= Scan.Closures.size() > DeepCallLevels;
   for (auto &[LoopId, Direct] : Scan.LoopDirect) {
     FnFacts Folded = Direct;
     for (const Function *Callee : Direct.Callees) {

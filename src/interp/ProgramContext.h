@@ -104,6 +104,15 @@ struct ProgramContext {
   };
   std::map<unsigned, LoopTraits> LoopTraitsOf;
 
+  /// True when a run may nest more than DeepCallLevels calls: some function
+  /// is on a call-graph cycle, so only ThreadState::MaxCallDepth bounds the
+  /// nesting, or the module defines more functions than that (an acyclic
+  /// call graph nests at most one level per function). 256 levels fit a
+  /// default 8 MiB stack at 32 KiB per level, eight times the 2-4 KiB a
+  /// level takes under ASan.
+  static constexpr unsigned DeepCallLevels = 256;
+  bool DeepCalls = false;
+
   /// The cycle cap, Opts.Resilience.Budget.MaxCycles (0 = unlimited). Every
   /// engine's budget check compares against this one value.
   uint64_t EffMaxCycles = 0;

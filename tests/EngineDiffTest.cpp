@@ -878,6 +878,15 @@ int main() { return rec(0); })",
            "call stack overflow", "stack-overflow");
 }
 
+TEST(EngineDiff, TrapMutualRecursionOverflow) {
+  diffTrap(R"(
+int pong(int n);
+int ping(int n) { return pong(n + 1); }
+int pong(int n) { return ping(n + 1); }
+int main() { return ping(0); })",
+           "call stack overflow", "mutual-recursion");
+}
+
 TEST(EngineDiff, TrapUndefinedFunction) {
   diffTrap(R"(
 int ghost(int x);
